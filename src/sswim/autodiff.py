@@ -12,8 +12,9 @@ written once and executed either way.
 
 Linear algebra goes through two primitives, ``psd_solve`` and ``psd_logdet``,
 whose adjoints are expressed in terms of additional triangular solves, so the
-Cholesky factorization itself is never differentiated through. The factor is
-cached on the tensor node holding the matrix and reused by later solves.
+Cholesky factorization itself is never differentiated through. Neither
+factors its matrix: the caller computes the factor once with ``chol_psd``
+and passes it to every solve and log-determinant of that matrix.
 """
 
 from __future__ import annotations
@@ -54,14 +55,13 @@ class Tensor:
     # operators then run and lift the ndarray operand instead.
     __array_ufunc__ = None
 
-    __slots__ = ("value", "parents", "vjps", "grad", "_chol")
+    __slots__ = ("value", "parents", "vjps", "grad")
 
     def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
         self.vjps = vjps
         self.grad = None
-        self._chol = None
 
     @property
     def shape(self):
@@ -358,12 +358,14 @@ def take(a, idx):
 
 
 def chol_psd(A):
-    """Cholesky factor of a symmetric positive-definite matrix.
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    Retries once with a small diagonal jitter (1e-10 * mean diagonal), then
-    raises :class:`FactorizationError` with condition diagnostics.
+    ``A`` may be a tensor; the factor is always a plain array, a constant of
+    the tape. Retries once with a small diagonal jitter (1e-10 * mean
+    diagonal), then raises :class:`FactorizationError` with condition
+    diagnostics.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_value(A)
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -386,25 +388,11 @@ def chol_solve(L, B):
     return cho_solve((L, True), B)
 
 
-def _cholesky_of(t: Tensor):
-    if t._chol is None:
-        t._chol = chol_psd(t.value)
-    return t._chol
-
-
-def cholesky_cached(A):
-    """Lower Cholesky factor as a plain array, reusing a tensor node's cache."""
-    if isinstance(A, Tensor):
-        return _cholesky_of(A)
-    return chol_psd(A)
-
-
-def psd_solve(A, B):
-    """Solve A X = B for symmetric positive-definite A (factor cached on A)."""
+def psd_solve(A, L, B):
+    """Solve A X = B for symmetric positive-definite A with Cholesky factor L."""
     if not _is_tensor(A, B):
-        return chol_solve(chol_psd(A), B)
+        return chol_solve(L, B)
     A, B = _lift(A), _lift(B)
-    L = _cholesky_of(A)
     X = chol_solve(L, B.value)
 
     def vjp_A(g):
@@ -419,13 +407,11 @@ def psd_solve(A, B):
     return Tensor(X, (A, B), (vjp_A, vjp_B))
 
 
-def psd_logdet(A):
-    """log-determinant of a symmetric positive-definite matrix."""
-    if not _is_tensor(A):
-        L = chol_psd(A)
-        return 2.0 * np.sum(np.log(np.diag(L)))
-    L = _cholesky_of(A)
+def psd_logdet(A, L):
+    """log-determinant of a symmetric positive-definite A with Cholesky factor L."""
     out = 2.0 * np.sum(np.log(np.diag(L)))
+    if not _is_tensor(A):
+        return out
 
     def vjp(g):
         inv = chol_solve(L, np.eye(L.shape[0]))

@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import (load_from_manifest, read_key_value_file, split,
+from .data import (_parse_bool, load_from_manifest, read_key_value_file, split,
                    standardize)
 from .metrics import MetricReport, aggregate, mnlp, report_row, rmse, write_report
 from .model import build_model, load, predict_f, save
 from .synthetic import KINDS, SyntheticSpec, gen, write_csv
-from .train import GRADIENT_MODES, TrainConfig, train
+from .train import TrainConfig, train
 from .warp_stack import MAX_DEPTH, propagate
 
 OUTPUT_DIR_ENV = "SSWIM_OUTPUT_DIR"
@@ -54,8 +54,6 @@ class RunConfig:
     warp_noise_var: float = 1e-4
     steps: int = 150
     learning_rate: float = 0.01
-    gradient_mode: str = "analytic-checked"
-    fd_epsilon: float = 1e-5
     keep_best: bool = True
     repeats: int = 10
     seed: int = 0
@@ -63,22 +61,12 @@ class RunConfig:
     output_dir: str = None
 
 
-def _parse_bool(text):
-    value = str(text).strip().lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 _COERCERS = {
     "manifest": str, "synthetic": str, "n": int, "noise_std": float,
     "depth": int, "M": int, "M_w": int, "n_pseudo": int, "sigma_gamma": float,
     "lengthscale": float, "warp_lengthscale": float,
     "noise_var": float, "warp_noise_var": float, "steps": int,
-    "learning_rate": float, "gradient_mode": str, "fd_epsilon": float,
-    "keep_best": _parse_bool, "repeats": int, "seed": int,
+    "learning_rate": float, "keep_best": _parse_bool, "repeats": int, "seed": int,
     "train_fraction": float, "output_dir": str,
 }
 
@@ -116,8 +104,6 @@ def _validate_run(cfg: RunConfig):
         raise ConfigError("learning_rate must be positive")
     if cfg.lengthscale <= 0 or (cfg.warp_lengthscale is not None and cfg.warp_lengthscale <= 0):
         raise ConfigError("lengthscales must be positive")
-    if cfg.gradient_mode not in GRADIENT_MODES:
-        raise ConfigError(f"gradient_mode must be one of {GRADIENT_MODES}")
     if not 0 < cfg.train_fraction < 1:
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
 
@@ -157,8 +143,9 @@ def _run_repeat(dataset, cfg: RunConfig, child, *, depth, n_pseudo, with_trace=F
                         lengthscale=cfg.lengthscale, warp_lengthscale=cfg.warp_lengthscale,
                         noise_var=cfg.noise_var, warp_noise_var=cfg.warp_noise_var,
                         seed=model_seed)
-    config = TrainConfig(cfg.steps, cfg.learning_rate, cfg.gradient_mode,
-                         cfg.fd_epsilon, with_trace, cfg.keep_best, cfg.seed)
+    config = TrainConfig(steps=cfg.steps, learning_rate=cfg.learning_rate,
+                         trace_test_metrics=with_trace, keep_best=cfg.keep_best,
+                         seed=cfg.seed)
     started = time.perf_counter()
     model, trace = train(model, train_set.X, train_set.y, config,
                          (test_set.X, test_set.y) if with_trace else None)
@@ -383,8 +370,6 @@ def _add_run_flags(parser):
     parser.add_argument("--warp-noise-var", type=float, help="initial warp noise variance")
     parser.add_argument("--steps", type=int)
     parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--gradient-mode", choices=GRADIENT_MODES)
-    parser.add_argument("--fd-epsilon", type=float)
     parser.add_argument("--keep-best", action=argparse.BooleanOptionalAction, default=None)
     parser.add_argument("--repeats", type=int)
     parser.add_argument("--seed", type=int)

@@ -9,19 +9,22 @@ hyperparameter and every pseudo-training pair.
 
 Canonical trainable state is a flat parameter vector ``model.theta`` with a
 fixed segment schema; positive quantities live in it as logarithms. The
-materialized stack, bases, and fitted posteriors are derived caches,
-rebuilt from theta by ``apply_parameters`` and refreshed by every objective
-or gradient evaluation. One assembly routine serves both modes: handed the
-theta array it produces a plain numpy model, handed a tape tensor it
-produces a traced one, so the gradient differentiates exactly the
-arithmetic the plain objective runs.
+materialized stack, bases, and fitted posteriors are derived caches.
+``build_model`` and ``load`` materialize them from theta once;
+``apply_parameters`` only installs a new theta and drops the top posterior,
+so the caches go stale until the next ``objective`` or
+``value_and_gradient`` refreshes them, and ``predict_f`` refuses until
+then. One assembly routine serves both modes: handed the theta array it
+produces a plain numpy model, handed a tape tensor it produces a traced
+one, so the gradient differentiates exactly the arithmetic the plain
+objective runs. Every Gram is factored exactly once per assembly.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from . import autodiff as ad
 from . import ssgp
 from .features import SpectralBasis, expected_feature_map, make_basis
 from .warp_stack import MAX_DEPTH, WarpStack, propagate
-from .warping import WarpInit, WarpLayer, init_warp_layer
+from .warping import WarpInit, WarpLayer, init_warp_layer, refit
 
 Segment = namedtuple("Segment", ("name", "start", "stop", "shape", "log"))
 
@@ -123,9 +126,9 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     schema, size = _build_schema(d, n_layers, n_pseudo)
     model = SswimModel(stack, top_basis, float(noise_var), None,
                        np.empty(size), schema, n_pseudo, sigma_gamma, seed)
-    theta = _pack_state(schema, stack, top_basis, model.top_noise_var)
+    apply_parameters(model, _pack_state(schema, stack, top_basis, model.top_noise_var))
     # materialize everything from theta so canonical and derived state agree
-    return apply_parameters(model, theta)
+    return _materialize(model)
 
 
 def _field_value(stack, top_basis, top_noise_var, name):
@@ -160,15 +163,17 @@ def pack_parameters(model: SswimModel) -> ParameterVector:
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
-    """Install a flat parameter vector and rebuild the derived caches."""
+    """Validate and install a flat parameter vector; fits nothing.
+
+    The top posterior is dropped and the other caches are stale until the
+    next :func:`objective` or :func:`value_and_gradient`.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.schema[-1].stop,):
         raise ValueError(f"parameter vector has shape {values.shape}, "
                          f"schema expects ({model.schema[-1].stop},)")
     ad.check_finite(values, "parameter vector")
     model.theta = values.copy()
-    stack, top_basis, top_noise = _assemble(model, model.theta)
-    model.stack, model.top_basis, model.top_noise_var = stack, top_basis, top_noise
     model.top_post = None
     return model
 
@@ -200,19 +205,22 @@ def _assemble(model: SswimModel, theta):
             seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
             seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"),
         )
-        for fn in ("g", "h"):
-            try:
-                post = ssgp.fit(getattr(layer, fn + "_basis"), getattr(layer, "X" + fn),
-                                getattr(layer, "Y" + fn), getattr(layer, fn + "_noise_var"))
-            except (ad.FactorizationError, ad.NonFiniteError) as e:
-                raise type(e)(f"warp layer {j}, {fn} regressor: {e}") from None
-            setattr(layer, fn + "_post", post)
-        layers.append(layer)
+        try:
+            layers.append(refit(layer))
+        except (ad.FactorizationError, ad.NonFiniteError) as e:
+            raise type(e)(f"warp layer {j}, {e}") from None
     top_basis = clone_basis(model.top_basis, "top")
     return WarpStack(layers), top_basis, seg("top.noise_var")
 
 
+def _materialize(model: SswimModel) -> SswimModel:
+    """Build the stack and top pieces (not the top posterior) from theta."""
+    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
+    return model
+
+
 def _forward(model: SswimModel, theta, x, y):
+    """Objective at theta plus the fitted (stack, top_basis, top_noise, post)."""
     stack, top_basis, top_noise = _assemble(model, theta)
     gi = propagate(stack, x)
     try:
@@ -220,35 +228,23 @@ def _forward(model: SswimModel, theta, x, y):
                                       y, top_noise)
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise type(e)(f"top-level fit: {e}") from None
-    return ssgp.posterior_nlml(post), stack, top_basis, top_noise, post
+    return ssgp.posterior_nlml(post), (stack, top_basis, top_noise, post)
 
 
-def _plain(x):
-    return x.value if isinstance(x, ad.Tensor) else x
+def _detach(x):
+    """Copy of a tree of dataclasses, lists and tuples with tensors replaced by values."""
+    if isinstance(x, ad.Tensor):
+        return x.value
+    if isinstance(x, (list, tuple)):
+        return type(x)(_detach(v) for v in x)
+    if is_dataclass(x):
+        return replace(x, **{f.name: _detach(getattr(x, f.name)) for f in fields(x)})
+    return x
 
 
-def _install(model, stack, top_basis, top_noise, post):
+def _install(model: SswimModel, fitted):
     """Write a forward pass's (possibly traced) results back as numpy caches."""
-
-    def plain_basis(b):
-        return SpectralBasis(b.family, b.M, b.D, b.base_draws,
-                             _plain(b.lengthscales), _plain(b.amplitude))
-
-    def plain_post(p, basis):
-        return ssgp.SsgpPosterior(basis, _plain(p.alpha), p.A_factor, _plain(p.noise_var),
-                                  _plain(p.gram), p.n_data, _plain(p.sq_norm_y), _plain(p.proj_y))
-
-    layers = []
-    for t in stack.layers:
-        g_basis, h_basis = plain_basis(t.g_basis), plain_basis(t.h_basis)
-        layers.append(WarpLayer(
-            g_basis, h_basis, _plain(t.Xg), _plain(t.Yg), _plain(t.Xh), _plain(t.Yh),
-            _plain(t.g_noise_var), _plain(t.h_noise_var),
-            plain_post(t.g_post, g_basis), plain_post(t.h_post, h_basis)))
-    model.stack = WarpStack(layers)
-    model.top_basis = plain_basis(top_basis)
-    model.top_noise_var = _plain(top_noise)
-    model.top_post = plain_post(post, model.top_basis)
+    model.stack, model.top_basis, model.top_noise_var, model.top_post = _detach(fitted)
 
 
 def objective(model: SswimModel, x, y) -> float:
@@ -258,8 +254,8 @@ def objective(model: SswimModel, x, y) -> float:
     the model coherent for prediction.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value, stack, top_basis, top_noise, post = _forward(model, model.theta, x, y)
-    _install(model, stack, top_basis, top_noise, post)
+    value, fitted = _forward(model, model.theta, x, y)
+    _install(model, fitted)
     return float(value)
 
 
@@ -270,11 +266,11 @@ def value_and_gradient(model: SswimModel, x, y):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     theta_t = ad.Tensor(model.theta)
-    value, stack, top_basis, top_noise, post = _forward(model, theta_t, x, y)
+    value, fitted = _forward(model, theta_t, x, y)
     ad.check_finite(value, "objective")
     value.backward()
     grad = theta_t.grad if theta_t.grad is not None else np.zeros_like(model.theta)
-    _install(model, stack, top_basis, top_noise, post)
+    _install(model, fitted)
     return float(value.value), grad.reshape(-1).copy()
 
 
@@ -387,7 +383,7 @@ def load(path) -> SswimModel:
         raise ValueError(f"{path}: parameter vector length {theta.shape[0]}, schema expects {size}")
     model = SswimModel(WarpStack(layers), basis_from("top", doc["M"]), 1.0, None,
                        np.empty(size), schema, n_pseudo, doc["sigma_gamma"], doc["seed"])
-    apply_parameters(model, theta)
+    _materialize(apply_parameters(model, theta))
     if doc["top_posterior"] is not None:
         p = doc["top_posterior"]
         gram = np.array(p["gram"], dtype=float)

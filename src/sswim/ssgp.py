@@ -8,7 +8,8 @@ regularized feature Gram
 
     A = Phi^T Phi + noise_var * I          (Phi has one feature row per datum)
 
-whose Cholesky factor backs all solves; no matrix is ever inverted
+whose Cholesky factor, computed once per fit and kept on the posterior,
+backs every solve and log-determinant; no matrix is ever inverted
 explicitly. Multiple output columns share one factorization and a single
 noise variance, giving each output the same scalar predictive variance.
 
@@ -40,9 +41,9 @@ class SsgpPosterior:
 
     basis: SpectralBasis
     alpha: object  # (2M,) or (2M, P) posterior weight means A^-1 Phi^T Y
-    A_factor: object  # (2M, 2M) lower Cholesky factor of the Gram, plain array
+    A_factor: np.ndarray  # (2M, 2M) lower Cholesky factor of the Gram, the only one
     noise_var: object  # observation noise variance
-    gram: object  # (2M, 2M) the Gram A itself, kept for traced solves
+    gram: object  # (2M, 2M) the Gram A itself, the tape node traced solves differentiate
     n_data: int
     sq_norm_y: object  # sum of squared targets
     proj_y: object  # (2M,) or (2M, P) b = Phi^T Y
@@ -69,8 +70,8 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
     # inf noise or amplitude slips past the phi check but poisons the factor
     ad.check_finite(gram, "feature Gram")
     proj = ad.transpose(phi) @ y
-    alpha = ad.psd_solve(gram, proj)
-    factor = ad.cholesky_cached(gram)
+    factor = ad.chol_psd(gram)
+    alpha = ad.psd_solve(gram, factor, proj)
     sq_norm = ad.sum_(ad.multiply(y, y))
     return SsgpPosterior(basis, alpha, factor, noise_var, gram, n, sq_norm, proj)
 
@@ -90,7 +91,7 @@ def posterior_nlml(post: SsgpPosterior):
     n_feat = post.proj_y.shape[0]
     quad = post.sq_norm_y - ad.sum_(ad.multiply(post.proj_y, post.alpha))
     per_output = (
-        0.5 * ad.psd_logdet(post.gram)
+        0.5 * ad.psd_logdet(post.gram, post.A_factor)
         - 0.5 * n_feat * ad.log(post.noise_var)
         + 0.5 * post.n_data * ad.log(2.0 * np.pi * post.noise_var)
     )
@@ -111,7 +112,7 @@ def predict(post: SsgpPosterior, feat, include_noise=False):
     ``include_noise`` the observation noise is added on.
     """
     mean = feat @ post.alpha
-    sol = ad.psd_solve(post.gram, ad.transpose(feat))
+    sol = ad.psd_solve(post.gram, post.A_factor, ad.transpose(feat))
     var = post.noise_var * ad.sum_(ad.multiply(feat, ad.transpose(sol)), axis=-1)
     if include_noise:
         var = var + post.noise_var

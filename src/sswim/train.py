@@ -22,10 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import mnlp, rmse
-from .model import (SswimModel, apply_parameters, fd_gradient, objective,
-                    pack_parameters, predict_f, value_and_gradient)
-
-GRADIENT_MODES = ("analytic-checked", "finite-difference")
+from .model import (SswimModel, apply_parameters, objective, pack_parameters,
+                    predict_f, value_and_gradient)
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MAX_CONSECUTIVE_REVERTS = 5
@@ -35,8 +33,6 @@ MAX_CONSECUTIVE_REVERTS = 5
 class TrainConfig:
     steps: int = 150
     learning_rate: float = 0.01
-    gradient_mode: str = "analytic-checked"
-    fd_epsilon: float = 1e-5  # relative step of the finite-difference fallback
     trace_test_metrics: bool = True
     keep_best: bool = True
     seed: object = 0  # recorded with runs; the loop itself draws nothing
@@ -58,10 +54,6 @@ def _validate(config: TrainConfig):
         raise ValueError("steps must be >= 0")
     if config.learning_rate <= 0:
         raise ValueError("learning_rate must be positive")
-    if config.gradient_mode not in GRADIENT_MODES:
-        raise ValueError(f"gradient_mode must be one of {GRADIENT_MODES}")
-    if config.fd_epsilon <= 0:
-        raise ValueError("fd_epsilon must be positive")
 
 
 def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
@@ -76,13 +68,6 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     record = test_data is not None and config.trace_test_metrics
     if record:
         x_test, y_test = (np.asarray(a, dtype=float) for a in test_data)
-
-    if config.gradient_mode == "finite-difference":
-        def evaluate(m):
-            return objective(m, x, y), fd_gradient(m, x, y, config.fd_epsilon)
-    else:
-        def evaluate(m):
-            return value_and_gradient(m, x, y)
 
     trace = TrainTrace(test_rmse=[] if record else None,
                        test_mnlp=[] if record else None,
@@ -101,7 +86,7 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         return model, trace
 
     theta = pack_parameters(model).values
-    value, grad = evaluate(model)
+    value, grad = value_and_gradient(model, x, y)
     record_point(value)
     best_value, best_theta, best_step = value, theta.copy(), 0
 
@@ -120,7 +105,7 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         candidate = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         try:
             apply_parameters(model, candidate)
-            new_value, new_grad = evaluate(model)
+            new_value, new_grad = value_and_gradient(model, x, y)
             if not (np.isfinite(new_value) and np.all(np.isfinite(new_grad))):
                 raise ad.NonFiniteError("non-finite objective or gradient")
         except (ad.NonFiniteError, ad.FactorizationError):

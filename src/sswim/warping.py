@@ -68,10 +68,16 @@ def refit(layer: WarpLayer) -> WarpLayer:
     """Refit both posteriors from the layer's current pseudo data and bases.
 
     Must be called after mutating pseudo pairs, noise variances, or basis
-    hyperparameters; the warp operations trust the caches.
+    hyperparameters; the warp operations trust the caches. A failed fit is
+    re-raised with the regressor ("g regressor: ...") named.
     """
-    layer.g_post = ssgp.fit(layer.g_basis, layer.Xg, layer.Yg, layer.g_noise_var)
-    layer.h_post = ssgp.fit(layer.h_basis, layer.Xh, layer.Yh, layer.h_noise_var)
+    for fn in ("g", "h"):
+        try:
+            post = ssgp.fit(getattr(layer, fn + "_basis"), getattr(layer, "X" + fn),
+                            getattr(layer, "Y" + fn), getattr(layer, fn + "_noise_var"))
+        except (ad.FactorizationError, ad.NonFiniteError) as e:
+            raise type(e)(f"{fn} regressor: {e}") from None
+        setattr(layer, fn + "_post", post)
     return layer
 
 

@@ -266,9 +266,10 @@ def test_psd_solve_matches_numpy():
     rng = np.random.default_rng(11)
     A = spd(rng, 5)
     B = rng.standard_normal((5, 3))
-    np.testing.assert_allclose(ad.psd_solve(A, B), np.linalg.solve(A, B), rtol=1e-10)
+    L = ad.chol_psd(A)
+    np.testing.assert_allclose(ad.psd_solve(A, L, B), np.linalg.solve(A, B), rtol=1e-10)
     b = rng.standard_normal(5)
-    np.testing.assert_allclose(ad.psd_solve(A, b), np.linalg.solve(A, b), rtol=1e-10)
+    np.testing.assert_allclose(ad.psd_solve(A, L, b), np.linalg.solve(A, b), rtol=1e-10)
 
 
 def test_psd_solve_gradients():
@@ -276,43 +277,39 @@ def test_psd_solve_gradients():
     A = spd(rng, 4)
     B = rng.standard_normal((4, 2))
     proj = rng.standard_normal((4, 2))
+    L = ad.chol_psd(A)
 
-    def through_A(t):
+    def solve_sym(t, rhs):
         sym = ad.multiply(0.5, ad.add(t, ad.transpose(t)))  # keep A symmetric
-        return scalarize(ad.psd_solve(sym, B), proj)
+        return ad.psd_solve(sym, ad.chol_psd(sym), rhs)
 
-    check_scalarized(through_A, A, rtol=1e-5, atol=1e-7)
-    check_scalarized(lambda t: scalarize(ad.psd_solve(A, t), proj), B)
+    check_scalarized(lambda t: scalarize(solve_sym(t, B), proj), A, rtol=1e-5, atol=1e-7)
+    check_scalarized(lambda t: scalarize(ad.psd_solve(A, L, t), proj), B)
     # 1-D right-hand side
     b = rng.standard_normal(4)
     pb = rng.standard_normal(4)
-    check_scalarized(lambda t: scalarize(ad.psd_solve(ad.multiply(0.5, ad.add(t, ad.transpose(t))), b), pb),
-                     A, rtol=1e-5, atol=1e-7)
-    check_scalarized(lambda t: scalarize(ad.psd_solve(A, t), pb), b)
+    check_scalarized(lambda t: scalarize(solve_sym(t, b), pb), A, rtol=1e-5, atol=1e-7)
+    check_scalarized(lambda t: scalarize(ad.psd_solve(A, L, t), pb), b)
 
 
 def test_psd_logdet_value_and_gradient():
     rng = np.random.default_rng(13)
     A = spd(rng, 4)
-    assert ad.psd_logdet(A) == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
+    assert ad.psd_logdet(A, ad.chol_psd(A)) == pytest.approx(np.linalg.slogdet(A)[1], rel=1e-12)
 
     def f(t):
         sym = ad.multiply(0.5, ad.add(t, ad.transpose(t)))
-        return ad.psd_logdet(sym)
+        return ad.psd_logdet(sym, ad.chol_psd(sym))
 
     check_scalarized(f, A, rtol=1e-5, atol=1e-7)
 
 
-def test_cholesky_cache_is_reused():
+def test_chol_psd_of_tensor_is_plain_array():
     rng = np.random.default_rng(14)
-    A = ad.Tensor(spd(rng, 4))
-    B = rng.standard_normal((4, 2))
-    assert A._chol is None
-    ad.psd_solve(A, B)
-    first = A._chol
-    assert first is not None
-    ad.psd_logdet(A)
-    assert A._chol is first  # same factor object, not recomputed
+    A = spd(rng, 4)
+    L = ad.chol_psd(ad.Tensor(A))
+    assert type(L) is np.ndarray
+    np.testing.assert_array_equal(L, ad.chol_psd(A))
 
 
 def test_chol_psd_jitter_retry_on_near_singular_matrix():

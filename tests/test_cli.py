@@ -62,6 +62,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_removed_gradient_mode_is_rejected(tmp_path, capsys):
+    config = tmp_path / "old.conf"
+    config.write_text("synthetic = steps_chirp_1d\ngradient_mode = finite-difference\n")
+    assert main(["train", "--config", str(config)]) == 2
+    assert "unknown config key 'gradient_mode'" in capsys.readouterr().err
+    for flag in ("--gradient-mode", "--fd-epsilon"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", *FAST, flag, "1"])
+        assert exit_info.value.code == 2
+
+
 def test_sweep_pseudo_table_and_byte_identical_rerun(tmp_path):
     args = ["sweep-pseudo", *FAST, "--depth", "1", "--grid", "3,5",
             "--output-dir", str(tmp_path)]

@@ -53,8 +53,9 @@ def test_log1p_rejects_out_of_domain_targets(tmp_path):
 
 def test_unknown_target_transform(tmp_path):
     path = write(tmp_path / "t.csv", BASIC)
-    with pytest.raises(ValueError, match="target_transform"):
-        load_csv(path, "y", Preprocessing(target_transform="sqrt"))
+    for transform in ("sqrt", "log"):
+        with pytest.raises(ValueError, match="target_transform"):
+            load_csv(path, "y", Preprocessing(target_transform=transform))
 
 
 def test_constant_column_dropped_and_named(tmp_path):

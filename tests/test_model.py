@@ -176,11 +176,17 @@ def test_objective_finite_at_initialization():
         assert np.isfinite(objective(model, x, y))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf noise variance below
 def test_objective_names_failing_component():
     x, y = toy_data(13, n=10)
     model = build_model(x, n_layers=1, M=4, M_w=3, n_pseudo=4, seed=5)
     with pytest.raises(ad.NonFiniteError, match="top-level fit"):
         objective(model, x, np.full_like(y, np.nan))
+    theta = model.theta.copy()
+    theta[next(s.start for s in model.schema if s.name == "layer0.h.noise_var")] = 800.0
+    apply_parameters(model, theta)
+    with pytest.raises(ad.NonFiniteError, match="warp layer 0, h regressor: "):
+        objective(model, x, y)
 
 
 # -- gradient ----------------------------------------------------------------
@@ -283,6 +289,35 @@ def test_depth0_model_is_plain_ssgp_end_to_end():
     want_mean, want_var = ssgp.predict(post, feature_map(model.top_basis, xs))
     np.testing.assert_allclose(mean, want_mean, atol=1e-12)
     np.testing.assert_allclose(var, want_var + model.top_noise_var, atol=1e-12)
+
+
+# -- factorizations -----------------------------------------------------------
+
+
+def test_one_factorization_per_gram(tmp_path, monkeypatch):
+    x, y = toy_data(24, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=16)
+    n_grams = 1 + 2 * model.depth
+    calls = []
+    counted = ad.chol_psd
+
+    def counting(A):
+        calls.append(1)
+        return counted(A)
+
+    monkeypatch.setattr(ad, "chol_psd", counting)
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return len(calls), out
+
+    assert count(apply_parameters, model, model.theta + 0.01)[0] == 0
+    assert count(objective, model, x, y)[0] == n_grams
+    assert count(predict_f, model, x)[0] == 0
+    assert count(value_and_gradient, model, x, y)[0] == n_grams
+    path = save(model, tmp_path / "model.json")
+    assert count(load, path)[0] == n_grams
 
 
 # -- prediction --------------------------------------------------------------

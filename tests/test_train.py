@@ -25,15 +25,13 @@ def test_config_defaults():
     config = TrainConfig()
     assert config.steps == 150
     assert config.learning_rate == 0.01
-    assert config.gradient_mode == "analytic-checked"
     assert config.keep_best is True
 
 
 def test_config_validation():
     x, y = sine_data(0, n=10)
     model = small_model(x)
-    for bad in (TrainConfig(steps=-1), TrainConfig(learning_rate=0.0),
-                TrainConfig(gradient_mode="newton"), TrainConfig(fd_epsilon=0.0)):
+    for bad in (TrainConfig(steps=-1), TrainConfig(learning_rate=0.0)):
         with pytest.raises(ValueError):
             train(model, x, y, bad)
 
@@ -132,17 +130,6 @@ def test_divergence_reverts_and_halves_learning_rate():
     assert trace.best_step == 0
     # the model is back at (the best seen) initial parameters and still usable
     assert objective(model, x, y) == trace.objectives[0]
-
-
-def test_finite_difference_mode_matches_at_start():
-    x, y = sine_data(12, n=15)
-    a = small_model(x, seed=10)
-    b = small_model(x, seed=10)
-    _, trace_a = train(a, x, y, TrainConfig(steps=2))
-    _, trace_b = train(b, x, y, TrainConfig(steps=2, gradient_mode="finite-difference"))
-    assert trace_a.objectives[0] == trace_b.objectives[0]
-    # fd steps track the analytic ones closely on a smooth objective
-    assert trace_b.objectives[-1] == pytest.approx(trace_a.objectives[-1], rel=1e-4)
 
 
 def test_final_learning_rate_reported():
