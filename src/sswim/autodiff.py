@@ -5,22 +5,26 @@ parents and the vector-Jacobian products needed to backpropagate through it.
 Calling :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every
 tensor that contributed to it.
 
-All module-level math helpers (``cos``, ``exp``, ``matmul``, ...) dispatch on
+All module-level math helpers (``exp``, ``cos_sin``, ``matmul``, ...) dispatch on
 type: given plain numpy inputs they evaluate eagerly with numpy and return
 numpy, given a ``Tensor`` they extend the tape. This lets the model code be
 written once and executed either way.
 
-Linear algebra goes through two primitives, ``psd_solve`` and ``psd_logdet``,
-whose adjoints are expressed in terms of additional triangular solves, so the
-Cholesky factorization itself is never differentiated through. Neither
-factors its matrix: the caller computes the factor once with ``chol_psd``
-and passes it to every solve and log-determinant of that matrix.
+Linear algebra goes through three primitives: ``psd_solve``, ``psd_quad_diag``
+(the row-wise quadratic forms behind a predictive variance) and
+``psd_logdet``. Their adjoints are expressed in terms of additional
+triangular solves or a triangular inverse, so the Cholesky factorization
+itself is never differentiated through. None factors its matrix: the caller
+computes the factor once with ``chol_psd`` and passes it to every solve,
+quadratic form and log-determinant of that matrix. The trigonometric
+feature maps go through one more fused primitive, ``cos_sin``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 
 class FactorizationError(RuntimeError):
@@ -104,9 +108,6 @@ class Tensor:
 
     def __neg__(self):
         return negative(self)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -214,14 +215,6 @@ def negative(a):
     return Tensor(-a.value, (a,), (lambda g: -g,))
 
 
-def power(a, p):
-    if not _is_tensor(a):
-        return np.power(a, p)
-    p = float(p)
-    out = a.value**p
-    return Tensor(out, (a,), (lambda g: g * p * a.value ** (p - 1.0),))
-
-
 # -- elementwise unary ops --------------------------------------------------
 
 
@@ -238,23 +231,19 @@ def log(a):
     return Tensor(np.log(a.value), (a,), (lambda g: g / a.value,))
 
 
-def sqrt(a):
+def cos_sin(a):
+    """``[cos(a), sin(a)]`` joined along the last axis, as one tape node.
+
+    The VJP reuses the forward cosines and sines instead of evaluating the
+    other function again.
+    """
+    av = _as_value(a)
+    c, s = np.cos(av), np.sin(av)
+    out = np.concatenate([c, s], axis=-1)
     if not _is_tensor(a):
-        return np.sqrt(a)
-    out = np.sqrt(a.value)
-    return Tensor(out, (a,), (lambda g: g * 0.5 / out,))
-
-
-def cos(a):
-    if not _is_tensor(a):
-        return np.cos(a)
-    return Tensor(np.cos(a.value), (a,), (lambda g: -g * np.sin(a.value),))
-
-
-def sin(a):
-    if not _is_tensor(a):
-        return np.sin(a)
-    return Tensor(np.sin(a.value), (a,), (lambda g: g * np.cos(a.value),))
+        return out
+    m = av.shape[-1]
+    return Tensor(out, (a,), (lambda g: c * g[..., m:] - s * g[..., :m],))
 
 
 # -- structural ops ---------------------------------------------------------
@@ -388,23 +377,62 @@ def chol_solve(L, B):
     return cho_solve((L, True), B)
 
 
+def _per_cotangent(fn):
+    """Memoize ``fn(g)`` for the adjoints of one node's parents.
+
+    The backward pass hands every parent's VJP the same cotangent object, so
+    a solve both adjoints need runs once per pass.
+    """
+    last = [None, None]
+
+    def shared(g):
+        if last[0] is not g:
+            last[0], last[1] = g, fn(g)
+        return last[1]
+
+    return shared
+
+
 def psd_solve(A, L, B):
     """Solve A X = B for symmetric positive-definite A with Cholesky factor L."""
     if not _is_tensor(A, B):
         return chol_solve(L, B)
     A, B = _lift(A), _lift(B)
     X = chol_solve(L, B.value)
+    solved = _per_cotangent(lambda g: chol_solve(L, g))
 
     def vjp_A(g):
-        gb = chol_solve(L, g)
+        gb = solved(g)
         if X.ndim == 1:
             return -np.outer(gb, X)
         return -gb @ X.T
 
-    def vjp_B(g):
-        return chol_solve(L, g)
+    return Tensor(X, (A, B), (vjp_A, solved))
 
-    return Tensor(X, (A, B), (vjp_A, vjp_B))
+
+def psd_quad_diag(A, L, F):
+    """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given A = L L^T.
+
+    One triangular solve V = L^-1 F^T; the value is the column sums of V^2,
+    so it is nonnegative by construction. Both adjoints share
+    S = L^-T V = A^-1 F^T: F-bar = 2 g S^T and A-bar = -(S g) S^T.
+    """
+    Fv = _as_value(F)
+    V = solve_triangular(L, Fv.T, lower=True)
+    out = np.sum(V * V, axis=0)
+    if not _is_tensor(A, F):
+        return out
+    A, F = _lift(A), _lift(F)
+    S = _per_cotangent(lambda g: solve_triangular(L, V, lower=True, trans="T"))
+
+    def vjp_A(g):
+        s = S(g)
+        return -g * np.outer(s, s) if V.ndim == 1 else -(s * g) @ s.T
+
+    def vjp_F(g):
+        return 2.0 * (S(g) * g).T
+
+    return Tensor(out, (A, F), (vjp_A, vjp_F))
 
 
 def psd_logdet(A, L):
@@ -414,8 +442,11 @@ def psd_logdet(A, L):
         return out
 
     def vjp(g):
-        inv = chol_solve(L, np.eye(L.shape[0]))
-        return g * inv
+        # the gradient of log|A| is A^-1 itself, formed as L^-T L^-1
+        L_inv, info = dtrtri(L, lower=1)
+        if info:
+            raise FactorizationError(f"triangular inverse failed: dtrtri info={info}")
+        return g * (L_inv.T @ L_inv)
 
     return Tensor(out, (A,), (vjp,))
 

@@ -113,7 +113,7 @@ def feature_map(basis: SpectralBasis, x):
     om = frequencies(basis)
     proj = x @ ad.transpose(om)
     scale = basis.amplitude / np.sqrt(basis.M)
-    return scale * ad.concatenate([ad.cos(proj), ad.sin(proj)], axis=-1)
+    return scale * ad.cos_sin(proj)
 
 
 def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
@@ -133,7 +133,7 @@ def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
     proj = mean @ ad.transpose(om)
     damp = ad.exp(-0.5 * (var @ ad.transpose(ad.multiply(om, om))))
     scale = basis.amplitude / np.sqrt(basis.M)
-    return scale * ad.concatenate([damp * ad.cos(proj), damp * ad.sin(proj)], axis=-1)
+    return scale * (ad.concatenate([damp, damp], axis=-1) * ad.cos_sin(proj))
 
 
 def expected_kernel(basis: SpectralBasis, a: GaussianInput, b: GaussianInput) -> float:

@@ -32,7 +32,7 @@ from . import autodiff as ad
 from . import ssgp
 from .features import SpectralBasis, expected_feature_map, make_basis
 from .warp_stack import MAX_DEPTH, WarpStack, propagate
-from .warping import WarpInit, WarpLayer, init_warp_layer, refit
+from .warping import WarpInit, WarpLayer, draw_warp_layer, refit
 
 Segment = namedtuple("Segment", ("name", "start", "stop", "shape", "log"))
 
@@ -120,14 +120,14 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
         g_b = make_basis(family, m_w, d, children[1 + 3 * j], ell_w, amplitude)
         h_b = make_basis(family, m_w, d, children[2 + 3 * j], ell_w, amplitude)
         init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
-        layers.append(init_warp_layer(data_min, data_max, init, (g_b, h_b),
+        layers.append(draw_warp_layer(data_min, data_max, init, (g_b, h_b),
                                       warp_noise_var, warp_noise_var))
     stack = WarpStack(layers)
     schema, size = _build_schema(d, n_layers, n_pseudo)
     model = SswimModel(stack, top_basis, float(noise_var), None,
                        np.empty(size), schema, n_pseudo, sigma_gamma, seed)
     apply_parameters(model, _pack_state(schema, stack, top_basis, model.top_noise_var))
-    # materialize everything from theta so canonical and derived state agree
+    # fit everything from theta, once, so canonical and derived state agree
     return _materialize(model)
 
 

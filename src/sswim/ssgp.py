@@ -9,9 +9,10 @@ regularized feature Gram
     A = Phi^T Phi + noise_var * I          (Phi has one feature row per datum)
 
 whose Cholesky factor, computed once per fit and kept on the posterior,
-backs every solve and log-determinant; no matrix is ever inverted
-explicitly. Multiple output columns share one factorization and a single
-noise variance, giving each output the same scalar predictive variance.
+backs every solve, predictive variance and log-determinant. The one
+explicit inverse is A^-1 as the gradient of log|A|, formed from the factor.
+Multiple output columns share one factorization and a single noise
+variance, giving each output the same scalar predictive variance.
 
 The negative log evidence uses the weight-space identity
 
@@ -108,12 +109,12 @@ def predict(post: SsgpPosterior, feat, include_noise=False):
 
     The caller chooses the map: features of a point for deterministic inputs,
     expected features for Gaussian inputs. The variance is the latent one,
-    noise_var * feat.(A^-1 feat), shared by all output columns; with
+    noise_var * feat.(A^-1 feat), shared by all output columns, from one
+    triangular solve with the posterior's factor (``ad.psd_quad_diag``); with
     ``include_noise`` the observation noise is added on.
     """
     mean = feat @ post.alpha
-    sol = ad.psd_solve(post.gram, post.A_factor, ad.transpose(feat))
-    var = post.noise_var * ad.sum_(ad.multiply(feat, ad.transpose(sol)), axis=-1)
+    var = post.noise_var * ad.psd_quad_diag(post.gram, post.A_factor, feat)
     if include_noise:
         var = var + post.noise_var
     return mean, var

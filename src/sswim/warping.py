@@ -81,9 +81,9 @@ def refit(layer: WarpLayer) -> WarpLayer:
     return layer
 
 
-def init_warp_layer(data_min, data_max, init: WarpInit, bases,
+def draw_warp_layer(data_min, data_max, init: WarpInit, bases,
                     g_noise_var=1e-4, h_noise_var=1e-4) -> WarpLayer:
-    """Draw pseudo data near the identity warp and fit the layer.
+    """Draw pseudo data near the identity warp; the layer is left unfitted.
 
     Pseudo inputs are uniform over the data box [data_min, data_max]; pseudo
     targets are N(1, sigma_gamma^2) for g and N(0, sigma_gamma^2) for h, so
@@ -116,9 +116,13 @@ def init_warp_layer(data_min, data_max, init: WarpInit, bases,
     Xh = rng.uniform(data_min, data_max, size=(n, d))
     Yg = 1.0 + init.sigma_gamma * rng.standard_normal((n, d))
     Yh = init.sigma_gamma * rng.standard_normal((n, d))
-    layer = WarpLayer(g_basis, h_basis, Xg, Yg, Xh, Yh,
-                      float(g_noise_var), float(h_noise_var))
-    return refit(layer)
+    return WarpLayer(g_basis, h_basis, Xg, Yg, Xh, Yh, float(g_noise_var), float(h_noise_var))
+
+
+def init_warp_layer(data_min, data_max, init: WarpInit, bases,
+                    g_noise_var=1e-4, h_noise_var=1e-4) -> WarpLayer:
+    """:func:`draw_warp_layer`, then fit both regressors."""
+    return refit(draw_warp_layer(data_min, data_max, init, bases, g_noise_var, h_noise_var))
 
 
 def _spread(v, batched):

@@ -296,8 +296,6 @@ def test_depth0_model_is_plain_ssgp_end_to_end():
 
 def test_one_factorization_per_gram(tmp_path, monkeypatch):
     x, y = toy_data(24, n=12, d=2)
-    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=16)
-    n_grams = 1 + 2 * model.depth
     calls = []
     counted = ad.chol_psd
 
@@ -307,17 +305,47 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ad, "chol_psd", counting)
 
-    def count(fn, *args):
+    def count(fn, *args, **kwargs):
         calls.clear()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         return len(calls), out
 
+    n_built, model = count(build_model, x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=16)
+    assert n_built == 2 * model.depth  # the warp Grams; the top one needs targets
+    n_grams = 1 + 2 * model.depth
     assert count(apply_parameters, model, model.theta + 0.01)[0] == 0
     assert count(objective, model, x, y)[0] == n_grams
     assert count(predict_f, model, x)[0] == 0
     assert count(value_and_gradient, model, x, y)[0] == n_grams
     path = save(model, tmp_path / "model.json")
     assert count(load, path)[0] == n_grams
+
+
+def test_one_row_sized_solve_per_predictive_variance(monkeypatch):
+    # N = 12 rows differs from every feature count, pseudo count and output
+    # count, so a triangular solve whose right-hand side has N columns is one
+    # of the row-sized solves behind the 2 * depth + 1 predictive variances
+    x, y = toy_data(25, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
+    n_rows, n_variances = x.shape[0], 2 * model.depth + 1
+    solves = []
+
+    def counting(name, fn, per_call):
+        def wrapped(L, B, *args, **kwargs):
+            if np.ndim(B) == 2 and np.shape(B)[1] == n_rows:
+                solves.extend([name] * per_call)
+            return fn(L, B, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ad, "solve_triangular", counting("tri", ad.solve_triangular, 1))
+    # cho_solve is a forward and a backward triangular solve
+    monkeypatch.setattr(ad, "cho_solve", counting("cho", ad.cho_solve, 2))
+    value_and_gradient(model, x, y)
+    # the top variance is not on the training tape
+    assert len(solves) == 2 * (n_variances - 1)
+    solves.clear()
+    predict_f(model, x)
+    assert len(solves) == n_variances
 
 
 # -- prediction --------------------------------------------------------------

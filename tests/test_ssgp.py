@@ -148,6 +148,18 @@ def test_predict_variance_positive_for_nonzero_features():
         assert var > 0
 
 
+def test_predict_variance_nonnegative_on_near_singular_gram():
+    # repeated inputs, N < 2M and noise 1e-14 leave the Gram near singular
+    rng = np.random.default_rng(13)
+    basis = make_basis("rbf", 20, 1, seed=14, lengthscales=0.3)
+    x = np.repeat(rng.uniform(0, 1, (4, 1)), 3, axis=0)
+    post = ssgp.fit(basis, x, np.sin(x[:, 0]), noise_var=1e-14)
+    assert np.linalg.cond(post.gram) > 1e10
+    xs = np.concatenate([x, rng.uniform(-1, 2, (200, 1))])
+    _, var = ssgp.predict(post, feature_map(basis, xs))
+    assert np.all(np.isfinite(var)) and np.all(var >= 0)
+
+
 def test_predict_include_noise_adds_noise_var():
     basis, x, y, noise_var = toy_problem(11, n=12, M=5)
     post = ssgp.fit(basis, x, y, noise_var)
