@@ -3,7 +3,9 @@
 The engine is an eager tape: every operation on a :class:`Tensor` records its
 parents and the vector-Jacobian products needed to backpropagate through it.
 Calling :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every
-tensor that contributed to it.
+tensor that contributed to it, except the plain arrays an operation lifted
+onto the tape as constants (data, identity matrices), whose VJPs are never
+evaluated.
 
 All module-level math helpers (``exp``, ``cos_sin``, ``matmul``, ...) dispatch on
 type: given plain numpy inputs they evaluate eagerly with numpy and return
@@ -143,6 +145,8 @@ class Tensor:
                 continue
             node.grad = g
             for parent, vjp in zip(node.parents, node.vjps):
+                if isinstance(parent, _Constant):
+                    continue
                 pg = vjp(g)
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
@@ -169,8 +173,14 @@ def _is_tensor(*xs):
     return any(isinstance(x, Tensor) for x in xs)
 
 
+class _Constant(Tensor):
+    """A plain array lifted into an operation; backward computes no VJP into it."""
+
+    __slots__ = ()
+
+
 def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else _Constant(x)
 
 
 # -- elementwise binary ops -------------------------------------------------

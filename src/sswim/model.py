@@ -18,11 +18,21 @@ then. One assembly routine serves both modes: handed the theta array it
 produces a plain numpy model, handed a tape tensor it produces a traced
 one, so the gradient differentiates exactly the arithmetic the plain
 objective runs. Every Gram is factored exactly once per assembly.
+
+``save`` writes a version-2 JSON document: readable header scalars and
+schema, and every float array (theta, frequency draws, the top posterior's
+weights, projections and Cholesky factor) as base64 of its little-endian
+float64 bytes, so a round trip is exact and ``load`` refits only the warp
+layers. ``load`` also reads version-1 documents (nested lists, with the top
+Gram instead of its factor) and names the field of any malformed entry.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass, replace
 
@@ -30,13 +40,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ssgp
-from .features import SpectralBasis, expected_feature_map, make_basis
+from .features import FAMILIES, SpectralBasis, expected_feature_map, make_basis
 from .warp_stack import MAX_DEPTH, WarpStack, propagate
 from .warping import WarpInit, WarpLayer, draw_warp_layer, refit
 
 Segment = namedtuple("Segment", ("name", "start", "stop", "shape", "log"))
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # of the saved document; load also reads version 1
 
 
 @dataclass
@@ -314,28 +324,89 @@ def predict_f(model: SswimModel, xstar):
 
 # -- serialization -----------------------------------------------------------
 
+_F8 = "<f8"  # key of a blob's base64 little-endian float64 bytes
+
+
+def _blob(a):
+    """Exact JSON form of a float array: its shape and its float64 bytes in base64."""
+    a = np.ascontiguousarray(a, dtype=_F8)
+    return {"shape": list(a.shape), _F8: base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _unblob(value, field):
+    """Inverse of :func:`_blob`, checking the byte count against the shape."""
+    shape = value.get("shape") if isinstance(value, dict) else None
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            and isinstance(value.get(_F8), str)):
+        raise ValueError(f"{field} is not an array blob {{\"shape\": [...], \"{_F8}\": ...}}")
+    try:
+        raw = base64.b64decode(value[_F8], validate=True)
+    except binascii.Error:
+        raise ValueError(f"{field} is not valid base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{field} holds {len(raw)} bytes, shape {tuple(shape)} "
+                         f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype=_F8).reshape(shape).astype(float)
+
+
+def _unlist(value, field):
+    """A version-1 array: nested JSON lists."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} is not a numeric array") from None
+
+
+def _required(part, key, prefix=""):
+    if not isinstance(part, dict) or key not in part:
+        raise ValueError(f"missing field {prefix}{key}")
+    return part[key]
+
+
+def _integer(part, key, lo, hi=None, prefix=""):
+    v = _required(part, key, prefix)
+    if type(v) is not int or v < lo or (hi is not None and v > hi):
+        want = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ValueError(f"{prefix}{key} is {v!r}, expected an integer {want}")
+    return v
+
+
+def _number(part, key, prefix="", positive=False):
+    v = _required(part, key, prefix)
+    if type(v) not in (int, float) or not math.isfinite(v) or (positive and v <= 0):
+        raise ValueError(f"{prefix}{key} is {v!r}, "
+                         f"expected a finite{' positive' if positive else ''} number")
+    return v
+
+
+def _schema_rows(schema):
+    return [[s.name, s.start, s.stop, list(s.shape), s.log] for s in schema]
+
 
 def save(model: SswimModel, path):
-    """Write the model as a self-contained JSON document.
+    """Write the model as a self-contained version-2 JSON document.
 
     Holds the schema, flat parameters, every basis's frozen draws, and the
-    fitted top posterior (the posterior cannot be rebuilt without the
-    training data, and predictions must survive a round trip).
+    fitted top posterior with the Cholesky factor of its Gram (the posterior
+    cannot be rebuilt without the training data, and predictions must
+    survive a round trip). Header scalars are JSON text; every float array
+    is a :func:`_blob`, so the document is exact and ``save`` of a loaded
+    model reproduces the file byte for byte.
     """
-    draws = {"top": model.top_basis.base_draws.tolist()}
+    draws = {"top": _blob(model.top_basis.base_draws)}
     for j, layer in enumerate(model.stack.layers):
-        draws[f"layer{j}.g"] = layer.g_basis.base_draws.tolist()
-        draws[f"layer{j}.h"] = layer.h_basis.base_draws.tolist()
+        draws[f"layer{j}.g"] = _blob(layer.g_basis.base_draws)
+        draws[f"layer{j}.h"] = _blob(layer.h_basis.base_draws)
     top_post = None
     if model.top_post is not None:
         p = model.top_post
         top_post = {
-            "alpha": np.asarray(p.alpha).tolist(),
-            "gram": np.asarray(p.gram).tolist(),
+            "alpha": _blob(p.alpha),
+            "factor": _blob(p.A_factor),
             "noise_var": float(p.noise_var),
             "n_data": int(p.n_data),
             "sq_norm_y": float(p.sq_norm_y),
-            "proj_y": np.asarray(p.proj_y).tolist(),
+            "proj_y": _blob(p.proj_y),
         }
     doc = {
         "format": "sswim-model",
@@ -348,47 +419,106 @@ def save(model: SswimModel, path):
         "n_pseudo": model.n_pseudo,
         "sigma_gamma": model.sigma_gamma,
         "seed": model.seed if isinstance(model.seed, int) else str(model.seed),
-        "schema": [[s.name, s.start, s.stop, list(s.shape), s.log] for s in model.schema],
-        "theta": model.theta.tolist(),
+        "schema": _schema_rows(model.schema),
+        "theta": _blob(model.theta),
         "base_draws": draws,
         "top_posterior": top_post,
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
     return path
 
 
 def load(path) -> SswimModel:
-    """Rebuild a model saved by :func:`save`; predictions round-trip exactly."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != "sswim-model" or doc.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"{path} is not a version-{SCHEMA_VERSION} model document")
-    d, n_layers, n_pseudo = doc["input_dim"], doc["n_layers"], doc["n_pseudo"]
-    family = doc["family"]
+    """Rebuild a model saved by :func:`save`; predictions round-trip exactly.
 
-    def basis_from(key, m):
-        return SpectralBasis(family, m, d, np.array(doc["base_draws"][key], dtype=float),
+    Reads version 2 and the older version 1 (nested lists, with the top
+    posterior's Gram, which is factored here). Every field is checked before
+    anything is fitted: a missing key, a blob whose bytes do not fill its
+    shape, an array whose shape disagrees with the header, or a non-finite
+    value raises ``ValueError`` naming the field. Only the warp Grams are
+    factored; the top posterior keeps the stored factor and no Gram.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.loads(f.read())
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path} is not a JSON document: {e}") from None
+    if not (isinstance(doc, dict) and doc.get("format") == "sswim-model"
+            and doc.get("version") in (1, SCHEMA_VERSION)):
+        raise ValueError(f"{path} is not a version-1 or version-{SCHEMA_VERSION} model document")
+    try:
+        return _from_document(doc, doc["version"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _array(part, key, shape, version, prefix=""):
+    """A checked float array field; ``shape=None`` leaves the shape to the caller."""
+    field = prefix + key
+    a = (_unblob if version == 2 else _unlist)(_required(part, key, prefix), field)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{field} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{field} has non-finite values")
+    return a
+
+
+def _from_document(doc, version) -> SswimModel:
+    family = _required(doc, "family")
+    if family not in FAMILIES:
+        raise ValueError(f"family is {family!r}, expected one of {FAMILIES}")
+    d, m = _integer(doc, "input_dim", 1), _integer(doc, "M", 1)
+    n_layers = _integer(doc, "n_layers", 0, MAX_DEPTH)
+    n_pseudo = _integer(doc, "n_pseudo", 1)
+    m_w = _integer(doc, "M_w", 1) if n_layers else None
+    sigma_gamma, seed = _number(doc, "sigma_gamma"), _required(doc, "seed")
+    schema, size = _build_schema(d, n_layers, n_pseudo)
+    if _required(doc, "schema") != _schema_rows(schema):
+        raise ValueError("schema does not match input_dim, n_layers and n_pseudo")
+    theta = _array(doc, "theta", (size,), version)
+    draws = _required(doc, "base_draws")
+
+    def basis(key, n_freq):
+        return SpectralBasis(family, n_freq, d,
+                             _array(draws, key, (n_freq, d), version, "base_draws."),
                              np.ones(d), 1.0)
 
-    layers = []
+    top_basis = basis("top", m)
     blank = np.zeros((n_pseudo, d))
-    for j in range(n_layers):
-        layers.append(WarpLayer(basis_from(f"layer{j}.g", doc["M_w"]),
-                                basis_from(f"layer{j}.h", doc["M_w"]),
-                                blank, blank, blank, blank, 1.0, 1.0))
-    schema, size = _build_schema(d, n_layers, n_pseudo)
-    theta = np.array(doc["theta"], dtype=float)
-    if theta.shape != (size,):
-        raise ValueError(f"{path}: parameter vector length {theta.shape[0]}, schema expects {size}")
-    model = SswimModel(WarpStack(layers), basis_from("top", doc["M"]), 1.0, None,
-                       np.empty(size), schema, n_pseudo, doc["sigma_gamma"], doc["seed"])
+    layers = [WarpLayer(basis(f"layer{j}.g", m_w), basis(f"layer{j}.h", m_w),
+                        blank, blank, blank, blank, 1.0, 1.0) for j in range(n_layers)]
+    post = _required(doc, "top_posterior")
+    if post is not None:
+        post = _top_posterior(post, 2 * m, version)
+    model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
+                       n_pseudo, sigma_gamma, seed)
     _materialize(apply_parameters(model, theta))
-    if doc["top_posterior"] is not None:
-        p = doc["top_posterior"]
-        gram = np.array(p["gram"], dtype=float)
-        model.top_post = ssgp.SsgpPosterior(
-            model.top_basis, np.array(p["alpha"], dtype=float), ad.chol_psd(gram),
-            p["noise_var"], gram, p["n_data"], p["sq_norm_y"],
-            np.array(p["proj_y"], dtype=float))
+    if post is not None:
+        post.basis = model.top_basis
+        model.top_post = post
     return model
+
+
+def _top_posterior(part, n_feat, version) -> ssgp.SsgpPosterior:
+    """The checked top posterior, without its basis and with no Gram."""
+    prefix = "top_posterior."
+    alpha = _array(part, "alpha", None, version, prefix)
+    if alpha.ndim not in (1, 2) or alpha.shape[0] != n_feat:
+        raise ValueError(f"{prefix}alpha has shape {alpha.shape}, "
+                         f"expected ({n_feat},) or ({n_feat}, P)")
+    proj_y = _array(part, "proj_y", alpha.shape, version, prefix)
+    if version == 1:  # version 1 stores the Gram; factor it once here
+        try:
+            factor = ad.chol_psd(_array(part, "gram", (n_feat, n_feat), version, prefix))
+        except ad.FactorizationError as e:
+            raise ValueError(f"{prefix}gram is not positive definite: {e}") from None
+    else:
+        factor = _array(part, "factor", (n_feat, n_feat), version, prefix)
+        if np.any(np.triu(factor, 1)) or not np.all(np.diag(factor) > 0):
+            raise ValueError(f"{prefix}factor is not a lower Cholesky factor")
+    return ssgp.SsgpPosterior(
+        basis=None, alpha=alpha, A_factor=factor,
+        noise_var=_number(part, "noise_var", prefix, positive=True), gram=None,
+        n_data=_integer(part, "n_data", 0, prefix=prefix),
+        sq_norm_y=_number(part, "sq_norm_y", prefix), proj_y=proj_y)

@@ -44,7 +44,10 @@ class SsgpPosterior:
     alpha: object  # (2M,) or (2M, P) posterior weight means A^-1 Phi^T Y
     A_factor: np.ndarray  # (2M, 2M) lower Cholesky factor of the Gram, the only one
     noise_var: object  # observation noise variance
-    gram: object  # (2M, 2M) the Gram A itself, the tape node traced solves differentiate
+    # (2M, 2M) the Gram A itself, the tape node traced solves differentiate; None
+    # after model.load, whose document keeps only the factor that the plain
+    # predict and posterior_nlml read
+    gram: object
     n_data: int
     sq_norm_y: object  # sum of squared targets
     proj_y: object  # (2M,) or (2M, P) b = Phi^T Y

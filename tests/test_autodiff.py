@@ -235,6 +235,37 @@ def test_reuse_of_a_node_accumulates_gradient():
     np.testing.assert_allclose(t.grad, 2.0 * t.value + 1.0)
 
 
+def test_backward_skips_constant_leaves():
+    # plain arrays an operation lifts onto the tape (data, a constant matrix)
+    # get no VJP evaluated; the leaf's gradient is unaffected
+    rng = np.random.default_rng(30)
+    x, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+    A = 2.0 * np.eye(3) + 0.1
+    L = np.linalg.cholesky(A)
+
+    def f(t):
+        return (ad.sum_(c * ad.exp(x * t)) + ad.sum_(ad.psd_quad_diag(A, L, x * t))
+                + ad.sum_(x @ t))
+
+    t = ad.Tensor(rng.standard_normal(3))
+    out = f(t)
+    targets = []
+
+    def recording(parent, vjp):
+        def wrapped(g):
+            targets.append(parent)
+            return vjp(g)
+        return wrapped
+
+    for node in ad._topo_order(out):
+        node.vjps = tuple(recording(p, v) for p, v in zip(node.parents, node.vjps))
+    out.backward()
+    assert any(p is t for p in targets)
+    assert all(p is t or p.parents for p in targets)
+    want = numeric_grad(lambda v: float(f(v)), t.value)
+    np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-8)
+
+
 def test_backward_requires_scalar():
     t = ad.Tensor(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):

@@ -1,6 +1,9 @@
 """Command-line driver: exit codes, output artifacts, determinism."""
 
+import base64
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +182,78 @@ def test_export_warp_validation(tmp_path, capsys):
     for bad in ("0:1:5,0:1:5", "0:1", "1:0:5"):
         assert main(["export-warp", "--model", str(model_path), "--grid", bad,
                      "--output-dir", str(tmp_path)]) == 2
+
+
+def blob(a):
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "<f8": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def drop(part, key):
+    del part[key]
+
+
+def truncate(part, key):
+    raw = base64.b64decode(part[key]["<f8"])
+    part[key]["<f8"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+# (version of the document, edit, field the error must name)
+MALFORMED = {
+    "missing theta": (2, lambda d: drop(d, "theta"), "missing field theta"),
+    "short base_draws": (2, lambda d: d["base_draws"].update({"layer0.g": blob(np.ones((2, 1)))}),
+                         "base_draws.layer0.g has shape (2, 1), expected (3, 1)"),
+    "truncated alpha bytes": (2, lambda d: truncate(d["top_posterior"], "alpha"),
+                              "top_posterior.alpha holds 56 bytes"),
+    "wide proj_y": (2, lambda d: d["top_posterior"].update({"proj_y": blob(np.ones((8, 2)))}),
+                    "top_posterior.proj_y has shape (8, 2)"),
+    "square factor of the wrong size": (
+        2, lambda d: d["top_posterior"].update({"factor": blob(np.eye(2))}),
+        "top_posterior.factor has shape (2, 2), expected (8, 8)"),
+    "upper-triangular factor": (
+        2, lambda d: d["top_posterior"].update({"factor": blob(np.ones((8, 8)))}),
+        "top_posterior.factor is not a lower Cholesky factor"),
+    "non-finite theta": (2, lambda d: d.update({"theta": blob(np.full(21, np.nan))}),
+                         "theta has non-finite values"),
+    "missing noise variance": (2, lambda d: drop(d["top_posterior"], "noise_var"),
+                               "missing field top_posterior.noise_var"),
+    "depth out of range": (2, lambda d: d.update({"n_layers": 7}), "n_layers is 7"),
+    "version-1 2x2 gram": (1, lambda d: d["top_posterior"].update({"gram": np.eye(2).tolist()}),
+                           "top_posterior.gram has shape (2, 2), expected (8, 8)"),
+    "version-1 short alpha": (1, lambda d: d["top_posterior"].update({"alpha": [0.5, 0.5]}),
+                              "top_posterior.alpha has shape (2,)"),
+    "version-1 ragged base_draws": (1, lambda d: d["base_draws"].update({"top": [[1.0], []]}),
+                                    "base_draws.top is not a numeric array"),
+}
+
+
+@pytest.fixture(scope="module")
+def model_documents(tmp_path_factory):
+    path = trained_model_path(tmp_path_factory.mktemp("trained"), depth=1)
+    v1 = Path(__file__).parent / "data" / "model_v1.json"
+    return {2: path.read_text(), 1: v1.read_text()}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_export_warp_names_malformed_model_field(case, model_documents, tmp_path, capsys):
+    version, edit, message = MALFORMED[case]
+    doc = json.loads(model_documents[version])
+    edit(doc)
+    path = tmp_path / "bad.model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["export-warp", "--model", str(path), "--grid", "0:1:3",
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+def test_train_saves_byte_identical_models_on_rerun(tmp_path):
+    for run in ("first", "second"):
+        assert main(["train", *FAST, "--depth", "1", "--output-dir", str(tmp_path / run)]) == 0
+    for r in range(2):
+        name = f"steps_chirp_1d_depth1_repeat{r}.model.json"
+        first, second = (tmp_path / run / name for run in ("first", "second"))
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_gen_synthetic(tmp_path, capsys):

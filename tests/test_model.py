@@ -5,6 +5,10 @@ the full objective (dense numpy only, no caches, no shared helpers) compared
 against the module's value on small random instances.
 """
 
+import base64
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -318,7 +322,8 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
     assert count(predict_f, model, x)[0] == 0
     assert count(value_and_gradient, model, x, y)[0] == n_grams
     path = save(model, tmp_path / "model.json")
-    assert count(load, path)[0] == n_grams
+    # the document keeps the top factor, so load refits only the warp Grams
+    assert count(load, path)[0] == 2 * model.depth
 
 
 def test_one_row_sized_solve_per_predictive_variance(monkeypatch):
@@ -403,5 +408,58 @@ def test_save_load_unfitted_model(tmp_path):
 def test_load_rejects_foreign_documents(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "version": 1}')
+    with pytest.raises(ValueError, match="model document"):
+        load(path)
+
+
+def test_saved_document_holds_exact_blobs_and_the_factor(tmp_path):
+    x, y = toy_data(26, n=20)
+    model = build_model(x, n_layers=1, M=6, M_w=4, n_pseudo=5, seed=19)
+    objective(model, x, y)
+    doc = json.loads(save(model, tmp_path / "model.json").read_text())
+    assert doc["version"] == 2
+    post = doc["top_posterior"]
+    assert "gram" not in post and post["factor"]["shape"] == [12, 12]
+    raw = base64.b64decode(post["factor"]["<f8"])
+    factor = np.frombuffer(raw, dtype="<f8").reshape(12, 12)
+    np.testing.assert_array_equal(factor, model.top_post.A_factor)
+    clone = load(tmp_path / "model.json")
+    assert clone.top_post.gram is None
+    np.testing.assert_array_equal(clone.top_post.A_factor, model.top_post.A_factor)
+    xs = np.linspace(-1.5, 1.5, 11)[:, None]
+    for got, want in zip(predict_f(clone, xs), predict_f(model, xs)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    x, y = toy_data(27, n=20, d=2)
+    model = build_model(x, n_layers=2, M=5, M_w=3, n_pseudo=4, seed=20)
+    objective(model, x, y)
+    first = save(model, tmp_path / "first.json")
+    second = save(load(first), tmp_path / "second.json")
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_load_reads_version_1_documents():
+    # model_v1.json was written by the version-1 save (nested lists, the top
+    # Gram instead of its factor): build_model(x, n_layers=1, M=4, M_w=4,
+    # n_pseudo=3, seed=18) on 15 rows of x ~ U(-1, 1), y = sin(x) + noise,
+    # after one objective; the predictions file holds that in-memory model's
+    # predict_f output at 7 points
+    data = Path(__file__).parent / "data"
+    want = json.loads((data / "model_v1_predictions.json").read_text())
+    model = load(data / "model_v1.json")
+    assert model.depth == 1 and model.top_basis.M == 4 and model.n_pseudo == 3
+    mean, var = predict_f(model, np.array(want["x"])[:, None])
+    np.testing.assert_array_equal(mean, want["mean"])
+    np.testing.assert_array_equal(var, want["var"])
+
+
+def test_load_rejects_unknown_version(tmp_path):
+    x, _ = toy_data(28, n=10)
+    path = save(build_model(x, n_layers=0, M=4, seed=21), tmp_path / "model.json")
+    doc = json.loads(path.read_text())
+    doc["version"] = 3
+    path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="model document"):
         load(path)
