@@ -8,19 +8,17 @@ jointly by gradient descent on the marginal likelihood.
 """
 
 from .autodiff import FactorizationError, NonFiniteError
-from .features import (FAMILIES, GaussianInput, SpectralBasis, dirac,
-                       expected_feature_map, expected_kernel, feature_map,
-                       frequencies, make_basis, sample_frequencies)
-from .ssgp import SsgpPosterior, fit, fit_from_features, nlml, posterior_nlml, predict
-from .warping import WarpInit, WarpLayer, init_warp_layer, refit, warp_gaussian, warp_point
+from .features import (FAMILIES, GaussianInput, SpectralBasis, expected_feature_map,
+                       feature_map, frequencies, make_basis, sample_frequencies)
+from .ssgp import SsgpPosterior, fit, fit_from_features, posterior_nlml, predict
+from .warping import WarpInit, WarpLayer, draw_warp_layer, refit, warp_gaussian, warp_point
 from .warp_stack import MAX_DEPTH, WarpStack, propagate
-from .model import (ParameterVector, SswimModel, apply_parameters, build_model,
-                    fd_gradient, gradient, load, objective, pack_parameters,
+from .model import (SswimModel, apply_parameters, build_model, fd_gradient, load, objective,
                     predict_f, save, value_and_gradient)
 from .train import TrainConfig, TrainTrace, train
 from .data import (Dataset, Preprocessing, Scaler, load_csv, load_from_manifest,
                    load_manifest, split, standardize, subsample)
-from .metrics import MetricReport, aggregate, evaluate, mnlp, rmse, write_report
+from .metrics import MetricReport, aggregate, mnlp, rmse, write_report
 from .synthetic import KINDS, SyntheticSpec, gen, write_csv
 
 __version__ = "0.1.0"
@@ -29,17 +27,17 @@ __all__ = [
     "FAMILIES", "KINDS", "MAX_DEPTH",
     "FactorizationError", "NonFiniteError",
     "SpectralBasis", "GaussianInput", "SsgpPosterior", "WarpInit", "WarpLayer",
-    "WarpStack", "SswimModel", "ParameterVector", "TrainConfig", "TrainTrace",
+    "WarpStack", "SswimModel", "TrainConfig", "TrainTrace",
     "Dataset", "Preprocessing", "Scaler", "MetricReport", "SyntheticSpec",
-    "dirac", "sample_frequencies", "make_basis", "frequencies", "feature_map",
-    "expected_feature_map", "expected_kernel",
-    "fit", "fit_from_features", "predict", "posterior_nlml", "nlml",
-    "init_warp_layer", "refit", "warp_point", "warp_gaussian", "propagate",
-    "build_model", "pack_parameters", "apply_parameters", "objective",
-    "gradient", "value_and_gradient", "fd_gradient", "predict_f", "save", "load",
+    "sample_frequencies", "make_basis", "frequencies", "feature_map",
+    "expected_feature_map",
+    "fit", "fit_from_features", "predict", "posterior_nlml",
+    "draw_warp_layer", "refit", "warp_point", "warp_gaussian", "propagate",
+    "build_model", "apply_parameters", "objective",
+    "value_and_gradient", "fd_gradient", "predict_f", "save", "load",
     "train",
     "load_csv", "load_manifest", "load_from_manifest", "split", "standardize",
     "subsample",
-    "rmse", "mnlp", "evaluate", "aggregate", "write_report",
+    "rmse", "mnlp", "aggregate", "write_report",
     "gen", "write_csv",
 ]

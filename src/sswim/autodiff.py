@@ -77,10 +77,6 @@ class Tensor:
     def ndim(self):
         return self.value.ndim
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
@@ -116,20 +112,6 @@ class Tensor:
 
     def __rmatmul__(self, other):
         return matmul(other, self)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def item(self):
-        return self.value.item()
 
     # -- reverse pass -------------------------------------------------------
 

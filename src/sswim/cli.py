@@ -1,10 +1,11 @@
 """Command-line driver for experiment protocols and artifact export.
 
 Subcommands: train, sweep-pseudo, sweep-depth, overfit-trace, export-warp,
-gen-synthetic. Settings come from defaults, then an optional key=value
-config file, then explicit flags (flags win; flag names mirror config keys
-one-to-one). All outputs are CSV with headers, written under --output-dir,
-the SSWIM_OUTPUT_DIR environment variable, or the working directory.
+gen-synthetic. Run settings are the fields of :class:`RunConfig`: defaults,
+then an optional key=value config file, then explicit flags (flags win; flag
+names mirror config keys one-to-one). A float setting must be finite. All
+outputs are CSV with headers, written under --output-dir, the
+SSWIM_OUTPUT_DIR environment variable, or the working directory.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -12,11 +13,11 @@ Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +62,8 @@ class RunConfig:
     output_dir: str = None
 
 
-_COERCERS = {
-    "manifest": str, "synthetic": str, "n": int, "noise_std": float,
-    "depth": int, "M": int, "M_w": int, "n_pseudo": int, "sigma_gamma": float,
-    "lengthscale": float, "warp_lengthscale": float,
-    "noise_var": float, "warp_noise_var": float, "steps": int,
-    "learning_rate": float, "keep_best": _parse_bool, "repeats": int, "seed": int,
-    "train_fraction": float, "output_dir": str,
-}
+_COERCERS = {f.name: {"str": str, "int": int, "float": float, "bool": _parse_bool}[f.type]
+             for f in fields(RunConfig)}
 
 
 def _effective_config(args) -> RunConfig:
@@ -88,6 +83,9 @@ def _effective_config(args) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return replace(RunConfig(), **values)
 
 
@@ -122,8 +120,6 @@ def _load_dataset(cfg: RunConfig):
         if not path.exists():
             raise ConfigError(f"manifest file {path} does not exist")
         return load_from_manifest(path)
-    if cfg.synthetic not in KINDS:
-        raise ConfigError(f"unknown synthetic kind {cfg.synthetic!r}; expected one of {KINDS}")
     if cfg.n < 2:
         raise ConfigError("synthetic runs need n >= 2")
     return gen(SyntheticSpec(cfg.synthetic, cfg.n, cfg.noise_std, cfg.seed))
@@ -133,19 +129,21 @@ def _repeat_seeds(cfg: RunConfig):
     return np.random.SeedSequence(cfg.seed).spawn(cfg.repeats)
 
 
-def _run_repeat(dataset, cfg: RunConfig, child, *, depth, n_pseudo, with_trace=False):
-    """One full repeat: split, standardize, build, train, evaluate."""
+def _run_repeat(dataset, cfg: RunConfig, child, with_trace=False):
+    """One full repeat: split, standardize, build, train, evaluate.
+
+    With ``with_trace`` the trace also records test RMSE and MNLP per step.
+    """
     split_seed, model_seed = child.spawn(2)
     train_raw, test_raw = split(dataset, cfg.train_fraction, split_seed)
     train_set, test_set, _ = standardize(train_raw, test_raw)
-    model = build_model(train_set.X, n_layers=depth, M=cfg.M, M_w=cfg.M_w,
-                        n_pseudo=n_pseudo, sigma_gamma=cfg.sigma_gamma,
+    model = build_model(train_set.X, n_layers=cfg.depth, M=cfg.M, M_w=cfg.M_w,
+                        n_pseudo=cfg.n_pseudo, sigma_gamma=cfg.sigma_gamma,
                         lengthscale=cfg.lengthscale, warp_lengthscale=cfg.warp_lengthscale,
                         noise_var=cfg.noise_var, warp_noise_var=cfg.warp_noise_var,
                         seed=model_seed)
     config = TrainConfig(steps=cfg.steps, learning_rate=cfg.learning_rate,
-                         trace_test_metrics=with_trace, keep_best=cfg.keep_best,
-                         seed=cfg.seed)
+                         keep_best=cfg.keep_best)
     started = time.perf_counter()
     model, trace = train(model, train_set.X, train_set.y, config,
                          (test_set.X, test_set.y) if with_trace else None)
@@ -155,23 +153,13 @@ def _run_repeat(dataset, cfg: RunConfig, child, *, depth, n_pseudo, with_trace=F
     return model, trace, report, wall
 
 
-def _write_table(path, columns, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return path
-
-
 def cmd_train(cfg: RunConfig) -> int:
     _validate_run(cfg)
     dataset = _load_dataset(cfg)
     out = _output_dir(cfg.output_dir)
     rows, reports, diverged = [], [], False
     for r, child in enumerate(_repeat_seeds(cfg)):
-        model, trace, rep, wall = _run_repeat(dataset, cfg, child,
-                                              depth=cfg.depth, n_pseudo=cfg.n_pseudo)
+        model, trace, rep, wall = _run_repeat(dataset, cfg, child)
         diverged = diverged or trace.diverged
         save(model, out / f"{dataset.name}_depth{cfg.depth}_repeat{r}.model.json")
         rows.append(report_row(dataset.name, "sswim", cfg.depth, cfg.M, cfg.n_pseudo,
@@ -188,24 +176,32 @@ def cmd_train(cfg: RunConfig) -> int:
     return 1 if diverged else 0
 
 
+def _sweep(cfg: RunConfig, key, values):
+    """Every repeat at each value of the ``RunConfig`` field ``key``.
+
+    Returns the dataset, one table row per (value, repeat) and the mean test
+    RMSE per value.
+    """
+    dataset = _load_dataset(cfg)
+    rows, mean_rmse = [], {}
+    for value in values:
+        reports = [_run_repeat(dataset, replace(cfg, **{key: value}), child)[2]
+                   for child in _repeat_seeds(cfg)]
+        rows += [{key: value, "repeat": r, "rmse": rep.rmse, "mnlp": rep.mnlp}
+                 for r, rep in enumerate(reports)]
+        mean_rmse[value] = aggregate(reports)["rmse_mean"]
+    return dataset, rows, mean_rmse
+
+
 def cmd_sweep_pseudo(cfg: RunConfig, grid) -> int:
     _validate_run(cfg)
     if not grid:
         raise ConfigError("n_pseudo grid must be nonempty")
     if any(v < 1 for v in grid):
         raise ConfigError("n_pseudo grid values must be >= 1")
-    dataset = _load_dataset(cfg)
-    out = _output_dir(cfg.output_dir)
-    rows, mean_rmse = [], {}
-    for value in grid:
-        reports = []
-        for r, child in enumerate(_repeat_seeds(cfg)):
-            _, _, rep, _ = _run_repeat(dataset, cfg, child, depth=cfg.depth, n_pseudo=value)
-            rows.append({"n_pseudo": value, "repeat": r, "rmse": rep.rmse, "mnlp": rep.mnlp})
-            reports.append(rep)
-        mean_rmse[value] = aggregate(reports)["rmse_mean"]
-    path = _write_table(out / f"{dataset.name}_sweep_pseudo.csv",
-                        ("n_pseudo", "repeat", "rmse", "mnlp"), rows)
+    dataset, rows, mean_rmse = _sweep(cfg, "n_pseudo", grid)
+    path = write_report(_output_dir(cfg.output_dir) / f"{dataset.name}_sweep_pseudo.csv",
+                        rows, ("n_pseudo", "repeat", "rmse", "mnlp"))
     if mean_rmse[max(grid)] > mean_rmse[min(grid)]:
         print(f"warning: mean RMSE at n_pseudo={max(grid)} exceeds n_pseudo={min(grid)}",
               file=sys.stderr)
@@ -220,23 +216,13 @@ def cmd_sweep_depth(cfg: RunConfig, depths) -> int:
     unsupported = sorted(d for d in depths if not 0 <= d <= MAX_DEPTH)
     if unsupported:
         raise ConfigError(f"unsupported depth(s) {unsupported}; supported range is 0..{MAX_DEPTH}")
-    dataset = _load_dataset(cfg)
-    out = _output_dir(cfg.output_dir)
-    rows, mean_rmse = [], {}
-    for depth in depths:
-        reports = []
-        for r, child in enumerate(_repeat_seeds(cfg)):
-            _, _, rep, _ = _run_repeat(dataset, cfg, child, depth=depth, n_pseudo=cfg.n_pseudo)
-            rows.append({"depth": depth, "repeat": r, "rmse": rep.rmse, "mnlp": rep.mnlp})
-            reports.append(rep)
-        mean_rmse[depth] = aggregate(reports)["rmse_mean"]
+    dataset, rows, mean_rmse = _sweep(cfg, "depth", depths)
     if 0 in depths:
         # independent rerun of the depth-0 first repeat as a reduction cross-check
-        child0 = _repeat_seeds(cfg)[0]
-        _, _, rep, _ = _run_repeat(dataset, cfg, child0, depth=0, n_pseudo=cfg.n_pseudo)
+        rep = _run_repeat(dataset, replace(cfg, depth=0), _repeat_seeds(cfg)[0])[2]
         rows.append({"depth": 0, "repeat": "check0", "rmse": rep.rmse, "mnlp": rep.mnlp})
-    path = _write_table(out / f"{dataset.name}_sweep_depth.csv",
-                        ("depth", "repeat", "rmse", "mnlp"), rows)
+    path = write_report(_output_dir(cfg.output_dir) / f"{dataset.name}_sweep_depth.csv",
+                        rows, ("depth", "repeat", "rmse", "mnlp"))
     if 0 in mean_rmse and 1 in mean_rmse and mean_rmse[1] >= mean_rmse[0]:
         print("warning: one warp layer did not improve mean RMSE over the flat model",
               file=sys.stderr)
@@ -252,16 +238,15 @@ def cmd_overfit_trace(cfg: RunConfig) -> int:
     out = _output_dir(cfg.output_dir)
     rows, diverged = [], False
     for r, child in enumerate(_repeat_seeds(cfg)):
-        _, trace, _, _ = _run_repeat(dataset, cfg, child, depth=cfg.depth,
-                                     n_pseudo=cfg.n_pseudo, with_trace=True)
+        _, trace, _, _ = _run_repeat(dataset, cfg, child, with_trace=True)
         diverged = diverged or trace.diverged
         for step in range(1, len(trace.objectives)):
             rows.append({"repeat": r, "step": step,
                          "objective": trace.objectives[step],
                          "test_rmse": trace.test_rmse[step],
                          "test_mnlp": trace.test_mnlp[step]})
-    path = _write_table(out / f"{dataset.name}_overfit_trace.csv",
-                        ("repeat", "step", "objective", "test_rmse", "test_mnlp"), rows)
+    path = write_report(out / f"{dataset.name}_overfit_trace.csv", rows,
+                        ("repeat", "step", "objective", "test_rmse", "test_mnlp"))
     print(f"{dataset.name}: per-step trace ({len(rows)} rows); table {path}")
     return 1 if diverged else 0
 
@@ -311,7 +296,7 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
         row.update({f"warp_var_{k + 1}": float(warp_var[i, k]) for k in range(d)})
         row.update({"pred_mean": float(mu[i]), "pred_var": float(var[i])})
         grid_rows.append(row)
-    grid_path = _write_table(out / f"{stem}_warp_grid.csv", grid_cols, grid_rows)
+    grid_path = write_report(out / f"{stem}_warp_grid.csv", grid_rows, grid_cols)
 
     pseudo_cols = (["layer", "role", "index"] + coord_cols
                    + [f"target_{i + 1}" for i in range(d)])
@@ -323,18 +308,12 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
                 row.update(dict(zip(coord_cols, map(float, xs[i]))))
                 row.update({f"target_{k + 1}": float(ys[i, k]) for k in range(d)})
                 pseudo_rows.append(row)
-    pseudo_path = _write_table(out / f"{stem}_pseudo.csv", pseudo_cols, pseudo_rows)
+    pseudo_path = write_report(out / f"{stem}_pseudo.csv", pseudo_rows, pseudo_cols)
     print(f"exported {grid_path} and {pseudo_path}")
     return 0
 
 
 def cmd_gen_synthetic(kind, n, noise_std, seed, output, out_dir: Path) -> int:
-    if kind not in KINDS:
-        raise ConfigError(f"unknown synthetic kind {kind!r}; expected one of {KINDS}")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if noise_std < 0:
-        raise ConfigError("noise_std must be nonnegative")
     dataset = gen(SyntheticSpec(kind, n, noise_std, seed))
     path = Path(output) if output else out_dir / f"{kind}.csv"
     write_csv(dataset, path)

@@ -59,12 +59,6 @@ class GaussianInput:
     var: object
 
 
-def dirac(x) -> GaussianInput:
-    """The point-mass measure at x (zero variance)."""
-    x = np.asarray(x, dtype=float)
-    return GaussianInput(x, np.zeros_like(x))
-
-
 def sample_frequencies(family: str, M: int, D: int, seed) -> np.ndarray:
     """Draw the (M, D) unit-scale frequency matrix for a kernel family.
 
@@ -134,10 +128,3 @@ def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
     damp = ad.exp(-0.5 * (var @ ad.transpose(ad.multiply(om, om))))
     scale = basis.amplitude / np.sqrt(basis.M)
     return scale * (ad.concatenate([damp, damp], axis=-1) * ad.cos_sin(proj))
-
-
-def expected_kernel(basis: SpectralBasis, a: GaussianInput, b: GaussianInput) -> float:
-    """Inner product of the expected feature maps of two Gaussian inputs."""
-    fa = expected_feature_map(basis, a)
-    fb = expected_feature_map(basis, b)
-    return float(fa @ fb)

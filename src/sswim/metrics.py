@@ -43,10 +43,6 @@ def mnlp(y_true, mu, sigma2) -> float:
     return float(0.5 * np.mean((y_true - mu) ** 2 / sigma2 + np.log(sigma2) + np.log(2.0 * np.pi)))
 
 
-def evaluate(y_true, mu, sigma2) -> MetricReport:
-    return MetricReport(rmse(y_true, mu), mnlp(y_true, mu, sigma2), len(np.asarray(y_true)))
-
-
 def aggregate(reports) -> dict:
     """Sample mean and standard deviation over repeats (std 0 for a single run)."""
     reports = list(reports)
@@ -67,10 +63,10 @@ def report_row(dataset, method, depth, M, n_pseudo, repeat, rmse_value, mnlp_val
             "mnlp": mnlp_value, "wall_seconds": wall_seconds}
 
 
-def write_report(path, rows):
-    """Write report rows as CSV with the stable column set."""
+def write_report(path, rows, columns=REPORT_COLUMNS):
+    """Write rows as CSV with a header; the columns default to the report's."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -70,12 +70,6 @@ class SswimModel:
         return self.stack.depth
 
 
-@dataclass
-class ParameterVector:
-    values: np.ndarray
-    schema: tuple
-
-
 def _build_schema(d, n_layers, n_pseudo):
     specs = [
         ("top.lengthscales", (d,), True),
@@ -93,7 +87,7 @@ def _build_schema(d, n_layers, n_pseudo):
             specs.append((f"layer{j}.{mat}", (n_pseudo, d), False))
     segments, start = [], 0
     for name, shape, log in specs:
-        size = int(np.prod(shape, dtype=int))
+        size = math.prod(shape)
         segments.append(Segment(name, start, start + size, shape, log))
         start += size
     return tuple(segments), start
@@ -116,8 +110,8 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
         raise ValueError("x_train must be a 2-D array")
     if not 0 <= n_layers <= MAX_DEPTH:
         raise ValueError(f"n_layers must be in 0..{MAX_DEPTH}")
-    if noise_var <= 0 or warp_noise_var <= 0:
-        raise ValueError("noise variances must be strictly positive")
+    if not (0 < noise_var < np.inf and 0 < warp_noise_var < np.inf):
+        raise ValueError("noise variances must be positive and finite")
     d = x_train.shape[1]
     m_w = M if M_w is None else M_w
     ell_w = lengthscale if warp_lengthscale is None else warp_lengthscale
@@ -132,44 +126,21 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
         init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
         layers.append(draw_warp_layer(data_min, data_max, init, (g_b, h_b),
                                       warp_noise_var, warp_noise_var))
-    stack = WarpStack(layers)
-    schema, size = _build_schema(d, n_layers, n_pseudo)
-    model = SswimModel(stack, top_basis, float(noise_var), None,
-                       np.empty(size), schema, n_pseudo, sigma_gamma, seed)
-    apply_parameters(model, _pack_state(schema, stack, top_basis, model.top_noise_var))
+
+    def log_hypers(basis, noise):
+        return [np.log(basis.lengthscales), np.log([basis.amplitude]), np.log([noise])]
+
+    # the drawn values segment by segment, in _build_schema's order
+    parts = log_hypers(top_basis, float(noise_var))
+    for layer in layers:
+        parts += (log_hypers(layer.g_basis, layer.g_noise_var)
+                  + log_hypers(layer.h_basis, layer.h_noise_var)
+                  + [a.ravel() for a in (layer.Xg, layer.Yg, layer.Xh, layer.Yh)])
+    schema, _ = _build_schema(d, n_layers, n_pseudo)
+    model = SswimModel(WarpStack(layers), top_basis, float(noise_var), schema=schema,
+                       n_pseudo=n_pseudo, sigma_gamma=sigma_gamma, seed=seed)
     # fit everything from theta, once, so canonical and derived state agree
-    return _materialize(model)
-
-
-def _field_value(stack, top_basis, top_noise_var, name):
-    if name == "top.lengthscales":
-        return top_basis.lengthscales
-    if name == "top.amplitude":
-        return top_basis.amplitude
-    if name == "top.noise_var":
-        return top_noise_var
-    head, rest = name.split(".", 1)
-    layer = stack.layers[int(head[len("layer"):])]
-    if "." not in rest:
-        return getattr(layer, rest)
-    fn, field = rest.split(".")
-    if field == "noise_var":
-        return layer.g_noise_var if fn == "g" else layer.h_noise_var
-    basis = layer.g_basis if fn == "g" else layer.h_basis
-    return getattr(basis, field)
-
-
-def _pack_state(schema, stack, top_basis, top_noise_var):
-    theta = np.empty(schema[-1].stop if schema else 0)
-    for seg in schema:
-        v = np.asarray(_field_value(stack, top_basis, top_noise_var, seg.name),
-                       dtype=float).reshape(-1)
-        theta[seg.start:seg.stop] = np.log(v) if seg.log else v
-    return theta
-
-
-def pack_parameters(model: SswimModel) -> ParameterVector:
-    return ParameterVector(model.theta.copy(), model.schema)
+    return _materialize(apply_parameters(model, np.concatenate(parts)))
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
@@ -284,17 +255,14 @@ def value_and_gradient(model: SswimModel, x, y):
     return float(value.value), grad.reshape(-1).copy()
 
 
-def gradient(model: SswimModel, x, y):
-    return value_and_gradient(model, x, y)[1]
-
-
 def fd_gradient(model: SswimModel, x, y, rel_step=1e-5):
     """Central-difference gradient over the packed parameters (slow path).
 
     The step for coordinate i is rel_step * max(1, |theta_i|). Restores the
-    model's parameters and caches before returning.
+    model's parameters and caches before returning. Public as the oracle
+    that :func:`value_and_gradient` is tested against.
     """
-    base = pack_parameters(model).values
+    base = model.theta.copy()
     grad = np.empty_like(base)
     probe = base.copy()
     for i in range(base.size):
@@ -436,8 +404,9 @@ def load(path) -> SswimModel:
     posterior's Gram, which is factored here). Every field is checked before
     anything is fitted: a missing key, a blob whose bytes do not fill its
     shape, an array whose shape disagrees with the header, or a non-finite
-    value raises ``ValueError`` naming the field. Only the warp Grams are
-    factored; the top posterior keeps the stored factor and no Gram.
+    value raises ``ValueError`` naming the field, as does a theta whose warp
+    layers cannot be fitted. Only the warp Grams are factored; the top
+    posterior keeps the stored factor and no Gram.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -493,7 +462,10 @@ def _from_document(doc, version) -> SswimModel:
         post = _top_posterior(post, 2 * m, version)
     model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
                        n_pseudo, sigma_gamma, seed)
-    _materialize(apply_parameters(model, theta))
+    try:
+        _materialize(apply_parameters(model, theta))
+    except (ad.FactorizationError, ad.NonFiniteError) as e:
+        raise ValueError(f"theta does not give a fittable model: {e}") from None
     if post is not None:
         post.basis = model.top_basis
         model.top_post = post

@@ -102,22 +102,15 @@ def posterior_nlml(post: SsgpPosterior):
     return 0.5 * quad / post.noise_var + post.n_outputs * per_output
 
 
-def nlml(basis, phi_design, y, noise_var) -> float:
-    """Negative log evidence of targets y under feature rows ``phi_design``."""
-    return float(posterior_nlml(fit_from_features(basis, phi_design, np.asarray(y, dtype=float), noise_var)))
-
-
-def predict(post: SsgpPosterior, feat, include_noise=False):
-    """Predictive mean and variance at a feature vector or rows of them.
+def predict(post: SsgpPosterior, feat):
+    """Predictive mean and latent variance at a feature vector or rows of them.
 
     The caller chooses the map: features of a point for deterministic inputs,
-    expected features for Gaussian inputs. The variance is the latent one,
+    expected features for Gaussian inputs. The variance is
     noise_var * feat.(A^-1 feat), shared by all output columns, from one
-    triangular solve with the posterior's factor (``ad.psd_quad_diag``); with
-    ``include_noise`` the observation noise is added on.
+    triangular solve with the posterior's factor (``ad.psd_quad_diag``). It
+    excludes the observation noise, which a caller adds for the variance of a
+    new observation (as ``model.predict_f`` does).
     """
     mean = feat @ post.alpha
-    var = post.noise_var * ad.psd_quad_diag(post.gram, post.A_factor, feat)
-    if include_noise:
-        var = var + post.noise_var
-    return mean, var
+    return mean, post.noise_var * ad.psd_quad_diag(post.gram, post.A_factor, feat)

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import mnlp, rmse
-from .model import (SswimModel, apply_parameters, objective, pack_parameters,
-                    predict_f, value_and_gradient)
+from .model import SswimModel, apply_parameters, objective, predict_f, value_and_gradient
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MAX_CONSECUTIVE_REVERTS = 5
@@ -33,9 +32,7 @@ MAX_CONSECUTIVE_REVERTS = 5
 class TrainConfig:
     steps: int = 150
     learning_rate: float = 0.01
-    trace_test_metrics: bool = True
     keep_best: bool = True
-    seed: object = 0  # recorded with runs; the loop itself draws nothing
 
 
 @dataclass
@@ -52,20 +49,20 @@ class TrainTrace:
 def _validate(config: TrainConfig):
     if config.steps < 0:
         raise ValueError("steps must be >= 0")
-    if config.learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not 0 < config.learning_rate < np.inf:
+        raise ValueError("learning_rate must be positive and finite")
 
 
 def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     """Optimize the model in place; returns ``(model, trace)``.
 
-    ``test_data`` is an optional ``(x_test, y_test)`` pair; when given (and
-    ``trace_test_metrics`` is on) the trace carries test RMSE and MNLP for
-    every recorded objective, enabling per-step overfitting analysis.
+    ``test_data`` is an optional ``(x_test, y_test)`` pair; when given, the
+    trace carries test RMSE and MNLP for every recorded objective, enabling
+    per-step overfitting analysis.
     """
     _validate(config)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    record = test_data is not None and config.trace_test_metrics
+    record = test_data is not None
     if record:
         x_test, y_test = (np.asarray(a, dtype=float) for a in test_data)
 
@@ -85,7 +82,7 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         trace.best_objective = trace.objectives[0]
         return model, trace
 
-    theta = pack_parameters(model).values
+    theta = model.theta.copy()
     value, grad = value_and_gradient(model, x, y)
     record_point(value)
     best_value, best_theta, best_step = value, theta.copy(), 0
@@ -130,7 +127,7 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     trace.best_step, trace.best_objective = best_step, best_value
     trace.final_learning_rate = lr
     final_theta = best_theta if config.keep_best else theta
-    if not np.array_equal(pack_parameters(model).values, final_theta):
+    if not np.array_equal(model.theta, final_theta):
         apply_parameters(model, final_theta)
         objective(model, x, y)
     return model, trace

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .features import GaussianInput
-from .warping import WarpLayer, warp_gaussian, warp_point
+from .warping import warp_gaussian, warp_point
 
 MAX_DEPTH = 3
 

@@ -119,12 +119,6 @@ def draw_warp_layer(data_min, data_max, init: WarpInit, bases,
     return WarpLayer(g_basis, h_basis, Xg, Yg, Xh, Yh, float(g_noise_var), float(h_noise_var))
 
 
-def init_warp_layer(data_min, data_max, init: WarpInit, bases,
-                    g_noise_var=1e-4, h_noise_var=1e-4) -> WarpLayer:
-    """:func:`draw_warp_layer`, then fit both regressors."""
-    return refit(draw_warp_layer(data_min, data_max, init, bases, g_noise_var, h_noise_var))
-
-
 def _spread(v, batched):
     # per-row scalar variance broadcast against (N, D) coordinates
     return ad.expand_last(v) if batched else v

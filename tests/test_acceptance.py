@@ -19,12 +19,11 @@ from sswim.data import load_from_manifest, split, standardize, subsample
 from sswim.features import (FAMILIES, GaussianInput, SpectralBasis,
                             expected_feature_map, feature_map, make_basis)
 from sswim.metrics import mnlp, rmse
-from sswim.model import (build_model, fd_gradient, gradient, objective,
-                         predict_f, value_and_gradient)
+from sswim.model import build_model, fd_gradient, objective, predict_f, value_and_gradient
 from sswim.synthetic import SyntheticSpec, gen
 from sswim.train import TrainConfig, train
 from sswim.warp_stack import WarpStack, propagate
-from sswim.warping import WarpInit, init_warp_layer, warp_point
+from sswim.warping import WarpInit, draw_warp_layer, refit, warp_point
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,11 +66,11 @@ def test_02_single_warp_moments_match_monte_carlo():
     for seed in range(20):
         rng = np.random.default_rng(300 + seed)
         D = int(rng.integers(1, 4))
-        layer = init_warp_layer(
+        layer = refit(draw_warp_layer(
             -np.ones(D), 2.0 * np.ones(D),
             WarpInit(int(rng.integers(4, 12)), sigma_gamma=0.3, seed=seed),
             (make_basis("rbf", 6, D, seed=seed + 900),
-             make_basis("rbf", 6, D, seed=seed + 901)))
+             make_basis("rbf", 6, D, seed=seed + 901))))
         x = rng.uniform(-1.0, 2.0, D)
         out = warp_point(layer, x)
         g_mean, g_var = ssgp.predict(layer.g_post, feature_map(layer.g_basis, x))
@@ -95,10 +94,10 @@ def test_03_two_layer_propagation_matches_nested_monte_carlo():
         D = int(rng.integers(1, 3))
 
         def mk(s):
-            return init_warp_layer(
+            return refit(draw_warp_layer(
                 np.zeros(D), np.ones(D), WarpInit(8, sigma_gamma=0.25, seed=s),
                 (make_basis("rbf", 5, D, seed=s + 50),
-                 make_basis("rbf", 5, D, seed=s + 60)))
+                 make_basis("rbf", 5, D, seed=s + 60))))
 
         stack = WarpStack([mk(seed * 2 + 1), mk(seed * 2 + 2)])
         x = rng.uniform(0.0, 1.0, D)
@@ -154,7 +153,7 @@ def test_04_weight_space_matches_dense_function_space():
         sign, logdet = np.linalg.slogdet(K)
         quad = np.sum(y * np.linalg.solve(K, y))
         nlml_dense = 0.5 * quad + P * (0.5 * logdet + 0.5 * N * np.log(2.0 * np.pi))
-        assert abs(ssgp.nlml(basis, phi, y, noise_var) - nlml_dense) <= 1e-6
+        assert abs(ssgp.posterior_nlml(post) - nlml_dense) <= 1e-6
 
 
 def test_05_gradient_matches_finite_differences():
@@ -162,7 +161,7 @@ def test_05_gradient_matches_finite_differences():
     x = rng.uniform(-1.0, 1.0, (12, 2))
     y = np.sin(x @ np.array([1.3, -0.7]))[:, None]
     model = build_model(x, n_layers=1, M=8, M_w=8, n_pseudo=4, seed=3)
-    g = gradient(model, x, y)
+    g = value_and_gradient(model, x, y)[1]
     fd = fd_gradient(model, x, y)
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(g)), 1e-6)
     assert np.max(np.abs(g - fd) / denom) <= 1e-4

@@ -135,7 +135,7 @@ def test_dual_dispatch_is_bit_identical():
 
     def f(v):
         h = ad.cos_sin(ad.matmul(v, w))
-        h = ad.multiply(h, h) + ad.exp(-v).sum()
+        h = ad.multiply(h, h) + ad.sum_(ad.exp(-v))
         return ad.sum_(h)
 
     plain = f(x)
@@ -176,9 +176,7 @@ def test_transpose_reshape_expand_last():
     p2 = rng.standard_normal(15)
     p3 = rng.standard_normal((3, 5, 1))
     check_scalarized(lambda t: scalarize(ad.transpose(t), p1), x)
-    check_scalarized(lambda t: scalarize(t.T, p1), x)
     check_scalarized(lambda t: scalarize(ad.reshape(t, (15,)), p2), x)
-    check_scalarized(lambda t: scalarize(t.reshape(15), p2), x)
     check_scalarized(lambda t: scalarize(ad.expand_last(t), p3), x)
     assert ad.expand_last(x).shape == (3, 5, 1)
 
@@ -220,12 +218,11 @@ def test_take_accumulates_repeated_indices():
     np.testing.assert_array_equal(t.grad, [1.0, 0.0, 2.0, 1.0])
 
 
-def test_take_slices_and_getitem():
+def test_take_slices():
     rng = np.random.default_rng(10)
     x = rng.standard_normal(8)
     proj = rng.standard_normal(3)
     check_scalarized(lambda t: scalarize(ad.take(t, slice(2, 5)), proj), x)
-    check_scalarized(lambda t: scalarize(t[2:5], proj), x)
 
 
 def test_reuse_of_a_node_accumulates_gradient():
@@ -281,9 +278,8 @@ def test_deep_chain_does_not_overflow_recursion():
     assert t.grad == pytest.approx(1.0)
 
 
-def test_item_and_shape_accessors():
+def test_shape_accessors():
     t = ad.Tensor(np.array([[2.0]]))
-    assert t.item() == 2.0
     assert t.shape == (1, 1)
     assert t.ndim == 2
 

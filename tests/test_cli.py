@@ -63,6 +63,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     config.write_text("synthetic = steps_chirp_1d\nwarp_speed = 9\n")
     assert main(["train", "--config", str(config)]) == 2
     assert "warp_speed" in capsys.readouterr().err
+    # non-finite float settings, from a flag or a config file, name their key
+    for flag, value in (("--learning-rate", "nan"), ("--noise-var", "nan"),
+                        ("--noise-var", "inf"), ("--warp-noise-var", "nan"),
+                        ("--lengthscale", "nan"), ("--sigma-gamma", "nan")):
+        assert main(["train", *FAST, flag, value, "--output-dir", str(tmp_path)]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    config.write_text("synthetic = steps_chirp_1d\nnoise_var = nan\n")
+    assert main(["train", "--config", str(config)]) == 2
+    assert "noise_var must be finite" in capsys.readouterr().err
 
 
 def test_removed_gradient_mode_is_rejected(tmp_path, capsys):
@@ -218,10 +227,16 @@ MALFORMED = {
     "missing noise variance": (2, lambda d: drop(d["top_posterior"], "noise_var"),
                                "missing field top_posterior.noise_var"),
     "depth out of range": (2, lambda d: d.update({"n_layers": 7}), "n_layers is 7"),
+    "input_dim past uint64": (2, lambda d: d.update({"input_dim": 2**64}),
+                              "schema does not match input_dim"),
+    "n_pseudo past uint64": (2, lambda d: d.update({"n_pseudo": 2**64}),
+                            "schema does not match input_dim, n_layers and n_pseudo"),
     "version-1 2x2 gram": (1, lambda d: d["top_posterior"].update({"gram": np.eye(2).tolist()}),
                            "top_posterior.gram has shape (2, 2), expected (8, 8)"),
     "version-1 short alpha": (1, lambda d: d["top_posterior"].update({"alpha": [0.5, 0.5]}),
                               "top_posterior.alpha has shape (2,)"),
+    "version-1 unfittable warp amplitude": (1, lambda d: d["theta"].__setitem__(4, 1e308),
+                                            "theta does not give a fittable model: warp layer 0"),
     "version-1 ragged base_draws": (1, lambda d: d["base_draws"].update({"top": [[1.0], []]}),
                                     "base_draws.top is not a numeric array"),
 }

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from sswim.features import (GaussianInput, SpectralBasis, dirac,
-                            expected_feature_map, expected_kernel, feature_map,
-                            frequencies, make_basis, sample_frequencies)
+from sswim.features import (GaussianInput, SpectralBasis, expected_feature_map,
+                            feature_map, frequencies, make_basis, sample_frequencies)
+
+
+def dirac(x):
+    return GaussianInput(x, np.zeros_like(x))
+
+
+def expected_kernel(basis, a, b):
+    return float(expected_feature_map(basis, a) @ expected_feature_map(basis, b))
 
 
 def test_sample_frequencies_deterministic():

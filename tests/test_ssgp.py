@@ -25,6 +25,10 @@ def dense_predict(phi_train, y, noise_var, phi_star):
     return mean, var
 
 
+def nlml(basis, phi, y, noise_var):
+    return float(ssgp.posterior_nlml(ssgp.fit_from_features(basis, phi, y, noise_var)))
+
+
 def dense_nlml(phi_train, y, noise_var):
     """Direct N x N Gaussian negative log density at zero mean."""
     n = len(phi_train)
@@ -160,15 +164,6 @@ def test_predict_variance_nonnegative_on_near_singular_gram():
     assert np.all(np.isfinite(var)) and np.all(var >= 0)
 
 
-def test_predict_include_noise_adds_noise_var():
-    basis, x, y, noise_var = toy_problem(11, n=12, M=5)
-    post = ssgp.fit(basis, x, y, noise_var)
-    feat = feature_map(basis, np.zeros(2))
-    _, var = ssgp.predict(post, feat)
-    _, var_n = ssgp.predict(post, feat, include_noise=True)
-    assert var_n == pytest.approx(var + noise_var, rel=1e-12)
-
-
 def test_predict_multi_output_shares_variance():
     basis, x, y, noise_var = toy_problem(12, n=20, M=8, p=3)
     post = ssgp.fit(basis, x, y, noise_var)
@@ -189,7 +184,7 @@ def test_predict_multi_output_shares_variance():
 def test_nlml_zero_targets_closed_form():
     basis, x, _, noise_var = toy_problem(13, n=12, M=4)
     phi = feature_map(basis, x)
-    got = ssgp.nlml(basis, phi, np.zeros(12), noise_var)
+    got = nlml(basis, phi, np.zeros(12), noise_var)
     gram = phi.T @ phi + noise_var * np.eye(8)
     want = (0.5 * np.linalg.slogdet(gram)[1] - 4 * np.log(noise_var)
             + 6 * np.log(2 * np.pi * noise_var))
@@ -199,17 +194,17 @@ def test_nlml_zero_targets_closed_form():
 def test_nlml_permutation_invariant():
     basis, x, y, noise_var = toy_problem(14, n=18, M=6)
     phi = feature_map(basis, x)
-    base = ssgp.nlml(basis, phi, y, noise_var)
+    base = nlml(basis, phi, y, noise_var)
     rng = np.random.default_rng(15)
     for _ in range(5):
         perm = rng.permutation(18)
-        assert abs(ssgp.nlml(basis, phi[perm], y[perm], noise_var) - base) <= 1e-10
+        assert abs(nlml(basis, phi[perm], y[perm], noise_var) - base) <= 1e-10
 
 
 def test_nlml_matches_dense_oracle():
     basis, x, y, noise_var = toy_problem(16, n=20, M=4)
     phi = feature_map(basis, x)
-    assert ssgp.nlml(basis, phi, y, noise_var) == pytest.approx(
+    assert nlml(basis, phi, y, noise_var) == pytest.approx(
         dense_nlml(phi, y, noise_var), abs=1e-6)
 
 
@@ -224,7 +219,7 @@ def test_nlml_prefers_residual_scale_noise():
     post = ssgp.fit(basis, x, y, 0.05 ** 2)
     mean, _ = ssgp.predict(post, phi)
     resid_var = float(np.var(y - mean))
-    assert ssgp.nlml(basis, phi, y, resid_var) < ssgp.nlml(basis, phi, y, 100 * resid_var)
+    assert nlml(basis, phi, y, resid_var) < nlml(basis, phi, y, 100 * resid_var)
 
 
 def test_weight_function_space_duality():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sswim.metrics import rmse
-from sswim.model import build_model, objective, pack_parameters, predict_f
+from sswim.model import build_model, objective, predict_f
 from sswim.train import MAX_CONSECUTIVE_REVERTS, TrainConfig, TrainTrace, train
 
 
@@ -31,7 +31,8 @@ def test_config_defaults():
 def test_config_validation():
     x, y = sine_data(0, n=10)
     model = small_model(x)
-    for bad in (TrainConfig(steps=-1), TrainConfig(learning_rate=0.0)):
+    for bad in (TrainConfig(steps=-1), TrainConfig(learning_rate=0.0),
+                TrainConfig(learning_rate=np.nan), TrainConfig(learning_rate=np.inf)):
         with pytest.raises(ValueError):
             train(model, x, y, bad)
 
@@ -39,9 +40,9 @@ def test_config_validation():
 def test_steps_zero_is_a_noop():
     x, y = sine_data(1, n=20)
     model = small_model(x, seed=1)
-    before = pack_parameters(model).values.copy()
+    before = model.theta.copy()
     model, trace = train(model, x, y, TrainConfig(steps=0))
-    np.testing.assert_array_equal(pack_parameters(model).values, before)
+    np.testing.assert_array_equal(model.theta, before)
     assert len(trace.objectives) == 1
     assert trace.best_objective == trace.objectives[0]
     assert trace.best_step == 0 and not trace.diverged
@@ -58,13 +59,9 @@ def test_trace_lengths_and_test_metrics():
     assert np.all(np.isfinite(trace.test_mnlp))
 
 
-def test_test_metrics_absent_without_test_data_or_flag():
+def test_test_metrics_absent_without_test_data():
     x, y = sine_data(4, n=20)
     _, trace = train(small_model(x, seed=3), x, y, TrainConfig(steps=2))
-    assert trace.test_rmse is None and trace.test_mnlp is None
-    _, trace = train(small_model(x, seed=3), x, y,
-                     TrainConfig(steps=2, trace_test_metrics=False),
-                     test_data=sine_data(5, n=10))
     assert trace.test_rmse is None and trace.test_mnlp is None
 
 
@@ -74,7 +71,7 @@ def test_training_is_deterministic():
     for _ in range(2):
         model = small_model(x, seed=4)
         model, trace = train(model, x, y, TrainConfig(steps=10))
-        runs.append((pack_parameters(model).values, list(trace.objectives)))
+        runs.append((model.theta.copy(), list(trace.objectives)))
     np.testing.assert_array_equal(runs[0][0], runs[1][0])
     assert runs[0][1] == runs[1][1]
 

@@ -6,15 +6,15 @@ import pytest
 from sswim import ssgp
 from sswim.features import expected_feature_map, feature_map, make_basis
 from sswim.warp_stack import MAX_DEPTH, WarpStack, propagate
-from sswim.warping import WarpInit, init_warp_layer, warp_gaussian, warp_point
+from sswim.warping import WarpInit, draw_warp_layer, refit, warp_gaussian, warp_point
 
 
 def layer(seed, D=2, M_w=5, n_pseudo=10, sigma_gamma=0.2, h_noise_var=1e-4):
     bases = (make_basis("rbf", M_w, D, seed=seed + 100),
              make_basis("rbf", M_w, D, seed=seed + 200))
-    return init_warp_layer(np.zeros(D), np.ones(D),
-                           WarpInit(n_pseudo, sigma_gamma, seed=seed), bases,
-                           h_noise_var=h_noise_var)
+    return refit(draw_warp_layer(np.zeros(D), np.ones(D),
+                                 WarpInit(n_pseudo, sigma_gamma, seed=seed), bases,
+                                 h_noise_var=h_noise_var))
 
 
 def test_empty_stack_is_identity():

@@ -12,7 +12,8 @@ import pytest
 
 from sswim import ssgp
 from sswim.features import GaussianInput, expected_feature_map, feature_map, make_basis
-from sswim.warping import WarpInit, WarpLayer, init_warp_layer, refit, warp_gaussian, warp_point
+from sswim.warping import (WarpInit, WarpLayer, draw_warp_layer, refit, warp_gaussian,
+                           warp_point)
 
 
 def make_bases(D, M_w=6, seed=0, lengthscales=1.0):
@@ -21,16 +22,16 @@ def make_bases(D, M_w=6, seed=0, lengthscales=1.0):
 
 
 def random_layer(seed, D=2, M_w=6, n_pseudo=12, sigma_gamma=0.3):
-    return init_warp_layer(np.zeros(D), np.ones(D),
-                           WarpInit(n_pseudo, sigma_gamma, seed=seed),
-                           make_bases(D, M_w, seed=seed + 100))
+    return refit(draw_warp_layer(np.zeros(D), np.ones(D),
+                                 WarpInit(n_pseudo, sigma_gamma, seed=seed),
+                                 make_bases(D, M_w, seed=seed + 100)))
 
 
 # -- initialization ----------------------------------------------------------
 
 
 def test_init_zero_gamma_targets_are_exact():
-    layer = init_warp_layer(np.zeros(2), np.ones(2), WarpInit(8, sigma_gamma=0.0, seed=1),
+    layer = draw_warp_layer(np.zeros(2), np.ones(2), WarpInit(8, sigma_gamma=0.0, seed=1),
                             make_bases(2))
     np.testing.assert_array_equal(layer.Yg, np.ones((8, 2)))
     np.testing.assert_array_equal(layer.Yh, np.zeros((8, 2)))
@@ -39,10 +40,10 @@ def test_init_zero_gamma_targets_are_exact():
 def test_init_identity_oracle():
     # dense pseudo coverage of constant targets makes the warp the identity
     M_w = 4
-    layer = init_warp_layer(np.zeros(2), np.ones(2),
-                            WarpInit(8 * M_w, sigma_gamma=0.0, seed=2),
-                            make_bases(2, M_w=M_w, seed=5),
-                            g_noise_var=1e-8, h_noise_var=1e-8)
+    layer = refit(draw_warp_layer(np.zeros(2), np.ones(2),
+                                  WarpInit(8 * M_w, sigma_gamma=0.0, seed=2),
+                                  make_bases(2, M_w=M_w, seed=5),
+                                  g_noise_var=1e-8, h_noise_var=1e-8))
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(0, 1, 2)
@@ -66,7 +67,7 @@ def test_init_is_deterministic():
 
 def test_init_degenerate_box_warns_and_collapses():
     with pytest.warns(UserWarning, match=r"coordinate\(s\) \[1\]"):
-        layer = init_warp_layer(np.array([0.0, 0.5]), np.array([1.0, 0.5]),
+        layer = draw_warp_layer(np.array([0.0, 0.5]), np.array([1.0, 0.5]),
                                 WarpInit(6, seed=4), make_bases(2))
     np.testing.assert_array_equal(layer.Xg[:, 1], np.full(6, 0.5))
     np.testing.assert_array_equal(layer.Xh[:, 1], np.full(6, 0.5))
@@ -75,14 +76,14 @@ def test_init_degenerate_box_warns_and_collapses():
 def test_init_validation():
     bases = make_bases(2)
     with pytest.raises(ValueError, match="data_min"):
-        init_warp_layer(np.ones(2), np.zeros(2), WarpInit(4), bases)
+        draw_warp_layer(np.ones(2), np.zeros(2), WarpInit(4), bases)
     with pytest.raises(ValueError, match="n_pseudo"):
-        init_warp_layer(np.zeros(2), np.ones(2), WarpInit(0), bases)
+        draw_warp_layer(np.zeros(2), np.ones(2), WarpInit(0), bases)
     with pytest.raises(ValueError, match="length-2"):
-        init_warp_layer(np.zeros(3), np.ones(3), WarpInit(4), bases)
+        draw_warp_layer(np.zeros(3), np.ones(3), WarpInit(4), bases)
     odd = (make_basis("rbf", 4, 2, seed=0), make_basis("rbf", 4, 3, seed=1))
     with pytest.raises(ValueError, match="dimensionality"):
-        init_warp_layer(np.zeros(2), np.ones(2), WarpInit(4), odd)
+        draw_warp_layer(np.zeros(2), np.ones(2), WarpInit(4), odd)
 
 
 # -- warp_point --------------------------------------------------------------
