@@ -3,14 +3,16 @@
 The engine is an eager tape: every operation on a :class:`Tensor` records its
 parents and the vector-Jacobian products needed to backpropagate through it.
 Calling :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every
-tensor that contributed to it, except the plain arrays an operation lifted
-onto the tape as constants (data, identity matrices), whose VJPs are never
-evaluated.
+leaf tensor (one with no parents, such as a parameter vector) that
+contributed to it. Intermediate nodes keep no gradient, so each cotangent is
+freed once its VJPs have run, and the plain arrays an operation lifted onto
+the tape as constants (data, identity matrices) get no VJP evaluated.
 
-All module-level math helpers (``exp``, ``cos_sin``, ``matmul``, ...) dispatch on
-type: given plain numpy inputs they evaluate eagerly with numpy and return
-numpy, given a ``Tensor`` they extend the tape. This lets the model code be
-written once and executed either way.
+All module-level math helpers (``exp``, ``cos_sin``, ``matmul``, ...) compute
+their value once, from plain values, and pass it to ``_node``, the one
+dispatch point: with no ``Tensor`` among the inputs it returns the plain
+numpy value, otherwise a tape node over the inputs. This lets the model code
+be written once and executed either way, with bit-identical values.
 
 Linear algebra goes through three primitives: ``psd_solve``, ``psd_quad_diag``
 (the row-wise quadratic forms behind a predictive variance) and
@@ -116,7 +118,7 @@ class Tensor:
     # -- reverse pass -------------------------------------------------------
 
     def backward(self):
-        """Backpropagate from this (scalar) tensor, filling ``.grad``."""
+        """Backpropagate from this (scalar) tensor, filling the leaves' ``.grad``."""
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
@@ -125,7 +127,8 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g
+            if not node.parents:
+                node.grad = g
             for parent, vjp in zip(node.parents, node.vjps):
                 if isinstance(parent, _Constant):
                     continue
@@ -161,66 +164,61 @@ class _Constant(Tensor):
     __slots__ = ()
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else _Constant(x)
+def _node(out, inputs, vjps):
+    """``out`` itself when no input is a tensor, else a tape node over the inputs.
+
+    The one place an operation decides between plain and traced: every
+    operation computes its value once from plain values and hands it here,
+    with one VJP per input.
+    """
+    if not _is_tensor(*inputs):
+        return out
+    return Tensor(out, tuple(x if isinstance(x, Tensor) else _Constant(x) for x in inputs),
+                  vjps)
 
 
 # -- elementwise binary ops -------------------------------------------------
 
 
 def add(a, b):
-    if not _is_tensor(a, b):
-        return np.add(a, b)
-    a, b = _lift(a), _lift(b)
-    out = a.value + b.value
-    return Tensor(out, (a, b), (
-        lambda g: _unbroadcast(g, a.value.shape),
-        lambda g: _unbroadcast(g, b.value.shape),
+    av, bv = _as_value(a), _as_value(b)
+    return _node(av + bv, (a, b), (
+        lambda g: _unbroadcast(g, av.shape),
+        lambda g: _unbroadcast(g, bv.shape),
     ))
 
 
 def multiply(a, b):
-    if not _is_tensor(a, b):
-        return np.multiply(a, b)
-    a, b = _lift(a), _lift(b)
-    out = a.value * b.value
-    return Tensor(out, (a, b), (
-        lambda g: _unbroadcast(g * b.value, a.value.shape),
-        lambda g: _unbroadcast(g * a.value, b.value.shape),
+    av, bv = _as_value(a), _as_value(b)
+    return _node(av * bv, (a, b), (
+        lambda g: _unbroadcast(g * bv, av.shape),
+        lambda g: _unbroadcast(g * av, bv.shape),
     ))
 
 
 def divide(a, b):
-    if not _is_tensor(a, b):
-        return np.divide(a, b)
-    a, b = _lift(a), _lift(b)
-    out = a.value / b.value
-    return Tensor(out, (a, b), (
-        lambda g: _unbroadcast(g / b.value, a.value.shape),
-        lambda g: _unbroadcast(-g * a.value / b.value**2, b.value.shape),
+    av, bv = _as_value(a), _as_value(b)
+    return _node(av / bv, (a, b), (
+        lambda g: _unbroadcast(g / bv, av.shape),
+        lambda g: _unbroadcast(-g * av / bv**2, bv.shape),
     ))
 
 
 def negative(a):
-    if not _is_tensor(a):
-        return np.negative(a)
-    return Tensor(-a.value, (a,), (lambda g: -g,))
+    return _node(-_as_value(a), (a,), (lambda g: -g,))
 
 
 # -- elementwise unary ops --------------------------------------------------
 
 
 def exp(a):
-    if not _is_tensor(a):
-        return np.exp(a)
-    out = np.exp(a.value)
-    return Tensor(out, (a,), (lambda g: g * out,))
+    out = np.exp(_as_value(a))
+    return _node(out, (a,), (lambda g: g * out,))
 
 
 def log(a):
-    if not _is_tensor(a):
-        return np.log(a)
-    return Tensor(np.log(a.value), (a,), (lambda g: g / a.value,))
+    av = _as_value(a)
+    return _node(np.log(av), (a,), (lambda g: g / av,))
 
 
 def cos_sin(a):
@@ -231,108 +229,72 @@ def cos_sin(a):
     """
     av = _as_value(a)
     c, s = np.cos(av), np.sin(av)
-    out = np.concatenate([c, s], axis=-1)
-    if not _is_tensor(a):
-        return out
     m = av.shape[-1]
-    return Tensor(out, (a,), (lambda g: c * g[..., m:] - s * g[..., :m],))
+    return _node(np.concatenate([c, s], axis=-1), (a,),
+                 (lambda g: c * g[..., m:] - s * g[..., :m],))
 
 
 # -- structural ops ---------------------------------------------------------
 
 
 def matmul(a, b):
-    if not _is_tensor(a, b):
-        return np.matmul(a, b)
-    a, b = _lift(a), _lift(b)
-    av, bv = a.value, b.value
-    out = av @ bv
-    if av.ndim == 2 and bv.ndim == 2:
-        vjps = (lambda g: g @ bv.T, lambda g: av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 2:
-        vjps = (lambda g: bv @ g, lambda g: np.outer(av, g))
-    elif av.ndim == 2 and bv.ndim == 1:
-        vjps = (lambda g: np.outer(g, bv), lambda g: av.T @ g)
-    elif av.ndim == 1 and bv.ndim == 1:
-        vjps = (lambda g: g * bv, lambda g: g * av)
-    else:
+    av, bv = _as_value(a), _as_value(b)
+    if av.ndim not in (1, 2) or bv.ndim not in (1, 2):
         raise ValueError(f"matmul supports 1-D/2-D operands, got {av.ndim}-D @ {bv.ndim}-D")
-    return Tensor(out, (a, b), vjps)
+    # the VJPs view a 1-D left operand as a row and a 1-D right one as a column
+    a2, b2 = np.atleast_2d(av), bv.reshape(bv.shape[0], -1)
+
+    def as_2d(g):
+        return np.reshape(g, (a2.shape[0], b2.shape[1]))
+
+    return _node(av @ bv, (a, b), (
+        lambda g: (as_2d(g) @ b2.T).reshape(av.shape),
+        lambda g: (a2.T @ as_2d(g)).reshape(bv.shape),
+    ))
 
 
 def transpose(a):
-    if not _is_tensor(a):
-        return np.transpose(a)
-    return Tensor(a.value.T, (a,), (lambda g: g.T,))
+    return _node(_as_value(a).T, (a,), (lambda g: g.T,))
 
 
 def reshape(a, shape):
-    if not _is_tensor(a):
-        return np.reshape(a, shape)
-    old = a.value.shape
-    return Tensor(a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+    av = _as_value(a)
+    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
 
 
 def expand_last(a):
     """Append a trailing unit axis (for column-style broadcasting)."""
-    if not _is_tensor(a):
-        return np.asarray(a)[..., None]
-    return reshape(a, a.value.shape + (1,))
+    return reshape(a, np.shape(a) + (1,))
 
 
-def sum_(a, axis=None, keepdims=False):
-    if not _is_tensor(a):
-        return np.sum(a, axis=axis, keepdims=keepdims)
-    out = np.sum(a.value, axis=axis, keepdims=keepdims)
-    shape = a.value.shape
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        g_ = g
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            for ax in sorted(x if x >= 0 else x + len(shape) for x in axes):
-                g_ = np.expand_dims(g_, ax)
-        return np.broadcast_to(g_, shape).copy()
-
-    return Tensor(out, (a,), (vjp,))
+def sum_(a):
+    """Sum of all entries."""
+    av = _as_value(a)
+    return _node(np.sum(av), (a,), (lambda g: np.broadcast_to(g, av.shape).copy(),))
 
 
 def concatenate(parts, axis=0):
-    if not _is_tensor(*parts):
-        return np.concatenate(parts, axis=axis)
-    parts = [_lift(p) for p in parts]
-    values = [p.value for p in parts]
-    out = np.concatenate(values, axis=axis)
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
+    values = [_as_value(p) for p in parts]
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
 
     def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
+        index = [slice(None)] * values[i].ndim
+        index[axis] = slice(offsets[i], offsets[i + 1])
+        return lambda g: g[tuple(index)]
 
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return Tensor(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
+    return _node(np.concatenate(values, axis=axis), tuple(parts),
+                 tuple(make_vjp(i) for i in range(len(parts))))
 
 
 def take(a, idx):
-    if not _is_tensor(a):
-        return np.asarray(a)[idx]
-    out = a.value[idx]
-    shape = a.value.shape
+    av = _as_value(a)
 
     def vjp(g):
-        buf = np.zeros(shape)
+        buf = np.zeros(av.shape)
         np.add.at(buf, idx, g)
         return buf
 
-    return Tensor(out, (a,), (vjp,))
+    return _node(av[idx], (a,), (vjp,))
 
 
 # -- Cholesky-backed linear algebra -----------------------------------------
@@ -387,10 +349,7 @@ def _per_cotangent(fn):
 
 def psd_solve(A, L, B):
     """Solve A X = B for symmetric positive-definite A with Cholesky factor L."""
-    if not _is_tensor(A, B):
-        return chol_solve(L, B)
-    A, B = _lift(A), _lift(B)
-    X = chol_solve(L, B.value)
+    X = chol_solve(L, _as_value(B))
     solved = _per_cotangent(lambda g: chol_solve(L, g))
 
     def vjp_A(g):
@@ -399,7 +358,7 @@ def psd_solve(A, L, B):
             return -np.outer(gb, X)
         return -gb @ X.T
 
-    return Tensor(X, (A, B), (vjp_A, solved))
+    return _node(X, (A, B), (vjp_A, solved))
 
 
 def psd_quad_diag(A, L, F):
@@ -412,9 +371,6 @@ def psd_quad_diag(A, L, F):
     Fv = _as_value(F)
     V = solve_triangular(L, Fv.T, lower=True)
     out = np.sum(V * V, axis=0)
-    if not _is_tensor(A, F):
-        return out
-    A, F = _lift(A), _lift(F)
     S = _per_cotangent(lambda g: solve_triangular(L, V, lower=True, trans="T"))
 
     def vjp_A(g):
@@ -424,14 +380,12 @@ def psd_quad_diag(A, L, F):
     def vjp_F(g):
         return 2.0 * (S(g) * g).T
 
-    return Tensor(out, (A, F), (vjp_A, vjp_F))
+    return _node(out, (A, F), (vjp_A, vjp_F))
 
 
 def psd_logdet(A, L):
     """log-determinant of a symmetric positive-definite A with Cholesky factor L."""
     out = 2.0 * np.sum(np.log(np.diag(L)))
-    if not _is_tensor(A):
-        return out
 
     def vjp(g):
         # the gradient of log|A| is A^-1 itself, formed as L^-T L^-1
@@ -440,7 +394,7 @@ def psd_logdet(A, L):
             raise FactorizationError(f"triangular inverse failed: dtrtri info={info}")
         return g * (L_inv.T @ L_inv)
 
-    return Tensor(out, (A,), (vjp,))
+    return _node(out, (A,), (vjp,))
 
 
 def check_finite(x, what: str):

@@ -110,16 +110,19 @@ def load_csv(path, target_column, preprocessing: Preprocessing = None, name=None
         header_line = f.readline()
         if not header_line.strip():
             raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in next(csv.reader([header_line]))]
         try:
-            # fast path; fall back to the cell-by-cell parser for diagnostics
-            raw = np.loadtxt(f, delimiter=",", ndmin=2)
-            if raw.size and raw.shape[1] != len(header):
-                raise ValueError("column count mismatch")
-        except Exception:
-            f.seek(0)
-            rows = list(csv.reader(f))[1:]
-            raw = _parse_rows_strict(path, header, rows)
+            header = [h.strip() for h in next(csv.reader([header_line]))]
+            try:
+                # fast path; fall back to the cell-by-cell parser for diagnostics
+                raw = np.loadtxt(f, delimiter=",", ndmin=2)
+                if raw.size and raw.shape[1] != len(header):
+                    raise ValueError("column count mismatch")
+            except Exception:
+                f.seek(0)
+                rows = list(csv.reader(f))[1:]
+                raw = _parse_rows_strict(path, header, rows)
+        except csv.Error as e:
+            raise ValueError(f"{path}: not a readable CSV file: {e}") from None
     if raw.shape[0] < 2:
         raise ValueError(f"{path}: need at least 2 data rows, found {raw.shape[0]}")
 

@@ -87,7 +87,7 @@ def make_basis(family, M, D, seed, lengthscales=1.0, amplitude=1.0) -> SpectralB
 
 
 def _check_dim(basis: SpectralBasis, x, name="x"):
-    shape = x.shape if isinstance(x, ad.Tensor) else np.shape(x)
+    shape = np.shape(x)
     if not shape or shape[-1] != basis.D:
         raise ValueError(
             f"{name} has trailing dimension {shape[-1] if shape else 'scalar'}, "
@@ -102,7 +102,6 @@ def frequencies(basis: SpectralBasis):
 
 def feature_map(basis: SpectralBasis, x):
     """Features of deterministic inputs; x is (D,) or (N, D)."""
-    x = x if isinstance(x, ad.Tensor) else np.asarray(x, dtype=float)
     _check_dim(basis, x)
     om = frequencies(basis)
     proj = x @ ad.transpose(om)
@@ -117,14 +116,12 @@ def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
     by exp(-0.5 * var-weighted squared frequency norm); with var = 0 the
     output is bit-equal to ``feature_map(basis, gi.mean)``.
     """
-    mean = gi.mean if isinstance(gi.mean, ad.Tensor) else np.asarray(gi.mean, dtype=float)
-    var = gi.var if isinstance(gi.var, ad.Tensor) else np.asarray(gi.var, dtype=float)
-    _check_dim(basis, mean, "mean")
-    _check_dim(basis, var, "var")
-    if not isinstance(var, ad.Tensor) and np.any(var < 0):
+    _check_dim(basis, gi.mean, "mean")
+    _check_dim(basis, gi.var, "var")
+    if not isinstance(gi.var, ad.Tensor) and np.any(np.less(gi.var, 0)):
         raise ValueError("input variance must be nonnegative")
     om = frequencies(basis)
-    proj = mean @ ad.transpose(om)
-    damp = ad.exp(-0.5 * (var @ ad.transpose(ad.multiply(om, om))))
+    proj = gi.mean @ ad.transpose(om)
+    damp = ad.exp(-0.5 * (gi.var @ ad.transpose(ad.multiply(om, om))))
     scale = basis.amplitude / np.sqrt(basis.M)
     return scale * (ad.concatenate([damp, damp], axis=-1) * ad.cos_sin(proj))

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ssgp
-from .features import FAMILIES, SpectralBasis, expected_feature_map, make_basis
+from .features import FAMILIES, SpectralBasis, expected_feature_map, frequencies, make_basis
 from .warp_stack import MAX_DEPTH, WarpStack, propagate
 from .warping import WarpInit, WarpLayer, draw_warp_layer, refit
 
@@ -405,7 +405,8 @@ def load(path) -> SswimModel:
     anything is fitted: a missing key, a blob whose bytes do not fill its
     shape, an array whose shape disagrees with the header, or a non-finite
     value raises ``ValueError`` naming the field, as does a theta whose warp
-    layers cannot be fitted. Only the warp Grams are factored; the top
+    layers cannot be fitted or whose top-level frequencies, amplitude or
+    noise variance overflow. Only the warp Grams are factored; the top
     posterior keeps the stored factor and no Gram.
     """
     with open(path, encoding="utf-8") as f:
@@ -464,16 +465,19 @@ def _from_document(doc, version) -> SswimModel:
                        n_pseudo, sigma_gamma, seed)
     try:
         _materialize(apply_parameters(model, theta))
+        # only the warp layers are refit, so a top-level overflow shows nowhere else
+        top = model.top_basis
+        for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
+                            ("noise variance", model.top_noise_var)):
+            ad.check_finite(value, f"the top level's {what}")
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise ValueError(f"theta does not give a fittable model: {e}") from None
-    if post is not None:
-        post.basis = model.top_basis
-        model.top_post = post
+    model.top_post = post
     return model
 
 
 def _top_posterior(part, n_feat, version) -> ssgp.SsgpPosterior:
-    """The checked top posterior, without its basis and with no Gram."""
+    """The checked top posterior, with no Gram."""
     prefix = "top_posterior."
     alpha = _array(part, "alpha", None, version, prefix)
     if alpha.ndim not in (1, 2) or alpha.shape[0] != n_feat:
@@ -490,7 +494,7 @@ def _top_posterior(part, n_feat, version) -> ssgp.SsgpPosterior:
         if np.any(np.triu(factor, 1)) or not np.all(np.diag(factor) > 0):
             raise ValueError(f"{prefix}factor is not a lower Cholesky factor")
     return ssgp.SsgpPosterior(
-        basis=None, alpha=alpha, A_factor=factor,
+        alpha=alpha, A_factor=factor,
         noise_var=_number(part, "noise_var", prefix, positive=True), gram=None,
         n_data=_integer(part, "n_data", 0, prefix=prefix),
         sq_norm_y=_number(part, "sq_norm_y", prefix), proj_y=proj_y)

@@ -40,7 +40,6 @@ from .features import SpectralBasis, feature_map
 class SsgpPosterior:
     """Posterior over feature weights plus the terms evidence and refits reuse."""
 
-    basis: SpectralBasis
     alpha: object  # (2M,) or (2M, P) posterior weight means A^-1 Phi^T Y
     A_factor: np.ndarray  # (2M, 2M) lower Cholesky factor of the Gram, the only one
     noise_var: object  # observation noise variance
@@ -54,8 +53,7 @@ class SsgpPosterior:
 
     @property
     def n_outputs(self):
-        shape = self.alpha.shape if isinstance(self.alpha, ad.Tensor) else np.shape(self.alpha)
-        return 1 if len(shape) == 1 else shape[1]
+        return 1 if np.ndim(self.alpha) == 1 else np.shape(self.alpha)[1]
 
 
 def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
@@ -65,7 +63,7 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
     if not isinstance(noise_var, ad.Tensor) and noise_var <= 0:
         raise ValueError("noise_var must be strictly positive")
     n, n_feat = phi.shape
-    y_shape = y.shape if isinstance(y, ad.Tensor) else np.shape(y)
+    y_shape = np.shape(y)
     if len(y_shape) not in (1, 2) or y_shape[0] != n:
         raise ValueError(f"targets have shape {y_shape}, expected ({n},) or ({n}, P)")
     if basis is not None and n_feat != basis.n_features:
@@ -77,12 +75,11 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
     factor = ad.chol_psd(gram)
     alpha = ad.psd_solve(gram, factor, proj)
     sq_norm = ad.sum_(ad.multiply(y, y))
-    return SsgpPosterior(basis, alpha, factor, noise_var, gram, n, sq_norm, proj)
+    return SsgpPosterior(alpha, factor, noise_var, gram, n, sq_norm, proj)
 
 
 def fit(basis: SpectralBasis, x, y, noise_var) -> SsgpPosterior:
     """Fit from raw inputs; targets may be (N,) or (N, P)."""
-    y = y if isinstance(y, ad.Tensor) else np.asarray(y, dtype=float)
     return fit_from_features(basis, feature_map(basis, x), y, noise_var)
 
 

@@ -53,8 +53,8 @@ def gen(spec: SyntheticSpec) -> Dataset:
         raise ValueError(f"unknown synthetic kind {spec.kind!r}; expected one of {KINDS}")
     if spec.n < 1:
         raise ValueError("n must be >= 1")
-    if spec.noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0 <= spec.noise_std < np.inf:
+        raise ValueError(f"noise_std is {spec.noise_std}, expected a finite nonnegative number")
     lo, hi = DOMAINS[spec.kind]
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(lo, hi, size=(spec.n, len(lo)))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .features import GaussianInput
 from .warping import warp_gaussian, warp_point
 
@@ -34,9 +33,8 @@ class WarpStack:
 
 def propagate(stack: WarpStack, x) -> GaussianInput:
     """Push a point (or batch of points) through every layer in order."""
-    x = x if isinstance(x, ad.Tensor) else np.asarray(x, dtype=float)
     if not stack.layers:
-        return GaussianInput(x, np.zeros(x.shape))
+        return GaussianInput(x, np.zeros(np.shape(x)))
     gi = warp_point(stack.layers[0], x)
     for layer in stack.layers[1:]:
         gi = warp_gaussian(layer, gi)

@@ -129,10 +129,9 @@ def warp_point(layer: WarpLayer, x) -> GaussianInput:
 
     x is (D,) or a batch (N, D); batches are warped row-wise.
     """
-    x = x if isinstance(x, ad.Tensor) else np.asarray(x, dtype=float)
     g_mean, g_var = ssgp.predict(layer.g_post, feature_map(layer.g_basis, x))
     h_mean, h_var = ssgp.predict(layer.h_post, feature_map(layer.h_basis, x))
-    batched = x.ndim == 2
+    batched = np.ndim(x) == 2
     s_g, s_h = _spread(g_var, batched), _spread(h_var, batched)
     mean = g_mean * x + h_mean
     var = s_g * ad.multiply(x, x) + s_h
@@ -148,12 +147,10 @@ def warp_gaussian(layer: WarpLayer, gi: GaussianInput) -> GaussianInput:
 
         var_d = gi.var_d * s_g + gi.var_d * mu_g_d^2 + s_g * gi.mean_d^2 + s_h
     """
-    mean = gi.mean if isinstance(gi.mean, ad.Tensor) else np.asarray(gi.mean, dtype=float)
-    var = gi.var if isinstance(gi.var, ad.Tensor) else np.asarray(gi.var, dtype=float)
-    gi = GaussianInput(mean, var)
+    mean, var = gi.mean, gi.var
     g_mean, g_var = ssgp.predict(layer.g_post, expected_feature_map(layer.g_basis, gi))
     h_mean, h_var = ssgp.predict(layer.h_post, expected_feature_map(layer.h_basis, gi))
-    batched = mean.ndim == 2
+    batched = np.ndim(mean) == 2
     s_g, s_h = _spread(g_var, batched), _spread(h_var, batched)
     out_mean = g_mean * mean + h_mean
     out_var = (var * s_g + var * ad.multiply(g_mean, g_mean)

@@ -118,29 +118,53 @@ def test_numpy_does_not_consume_tensors():
     assert isinstance(out2, ad.Tensor)
 
 
-def test_plain_numpy_inputs_stay_numpy():
-    x = np.linspace(0.1, 1.0, 5)
-    for op in (ad.exp, ad.log, ad.cos_sin):
-        assert not isinstance(op(x), ad.Tensor)
-    assert not isinstance(ad.add(x, x), ad.Tensor)
-    assert not isinstance(ad.matmul(x, x), ad.Tensor)
-    assert not isinstance(ad.sum_(x), ad.Tensor)
+def spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + n * np.eye(n)
 
 
-def test_dual_dispatch_is_bit_identical():
-    # same source expression must produce the same bits traced or untraced
+def dispatch_cases():
+    """Every operation as (function of array arguments, those arguments)."""
     rng = np.random.default_rng(5)
-    x = rng.uniform(0.2, 1.5, size=(6, 2))
-    w = rng.standard_normal((2, 3))
+    x, y = rng.uniform(0.2, 1.5, size=(3, 4)), rng.uniform(0.2, 1.5, size=(3, 4))
+    A = spd(rng, 4)
+    L = np.linalg.cholesky(A)
+    return {
+        "add": (ad.add, (x, y)),
+        "multiply": (ad.multiply, (x, y)),
+        "divide": (ad.divide, (x, y)),
+        "negative": (ad.negative, (x,)),
+        "exp": (ad.exp, (x,)),
+        "log": (ad.log, (x,)),
+        "cos_sin": (ad.cos_sin, (x,)),
+        "matmul 2-D @ 2-D": (ad.matmul, (x, y.T)),
+        "matmul 1-D @ 2-D": (ad.matmul, (x[0], y.T)),
+        "matmul 2-D @ 1-D": (ad.matmul, (x, y[0])),
+        "matmul 1-D @ 1-D": (ad.matmul, (x[0], y[0])),
+        "transpose": (ad.transpose, (x,)),
+        "reshape": (lambda a: ad.reshape(a, (2, 6)), (x,)),
+        "expand_last": (ad.expand_last, (x,)),
+        "sum_": (ad.sum_, (x,)),
+        "concatenate": (lambda a, b: ad.concatenate([a, b], axis=1), (x, y)),
+        "take": (lambda a: ad.take(a, np.array([2, 0, 2])), (x,)),
+        "psd_solve": (lambda a, b: ad.psd_solve(a, L, b), (A, y.T)),
+        "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, L, f), (A, x)),
+        "psd_logdet": (lambda a: ad.psd_logdet(a, L), (A,)),
+    }
 
-    def f(v):
-        h = ad.cos_sin(ad.matmul(v, w))
-        h = ad.multiply(h, h) + ad.sum_(ad.exp(-v))
-        return ad.sum_(h)
 
-    plain = f(x)
-    traced = f(ad.Tensor(x)).value
-    assert float(plain) == float(traced)
+@pytest.mark.parametrize("name", sorted(dispatch_cases()))
+def test_every_op_gives_plain_values_bit_identical_to_traced(name):
+    op, args = dispatch_cases()[name]
+    plain = op(*args)
+    assert not isinstance(plain, ad.Tensor)
+    want = np.asarray(plain)
+    # trace every argument, then each one alone beside plain others
+    masks = [range(len(args))] + ([[i] for i in range(len(args))] if len(args) > 1 else [])
+    for traced_args in masks:
+        out = op(*(ad.Tensor(a) if i in traced_args else a for i, a in enumerate(args)))
+        assert isinstance(out, ad.Tensor)
+        assert out.shape == want.shape and out.value.tobytes() == want.tobytes()
 
 
 # -- structural ops ---------------------------------------------------------
@@ -179,21 +203,6 @@ def test_transpose_reshape_expand_last():
     check_scalarized(lambda t: scalarize(ad.reshape(t, (15,)), p2), x)
     check_scalarized(lambda t: scalarize(ad.expand_last(t), p3), x)
     assert ad.expand_last(x).shape == (3, 5, 1)
-
-
-def test_sum_axis_variants():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((2, 3, 4))
-    cases = [
-        (None, False, np.array(1.0)),
-        (0, False, rng.standard_normal((3, 4))),
-        (-1, False, rng.standard_normal((2, 3))),
-        (1, True, rng.standard_normal((2, 1, 4))),
-        ((0, 2), False, rng.standard_normal(3)),
-    ]
-    for axis, keepdims, proj in cases:
-        check_scalarized(
-            lambda t, a=axis, k=keepdims, p=proj: scalarize(ad.sum_(t, axis=a, keepdims=k), p), x)
 
 
 def test_concatenate_gradients():
@@ -263,6 +272,15 @@ def test_backward_skips_constant_leaves():
     np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-8)
 
 
+def test_backward_keeps_gradients_only_on_leaves():
+    t = ad.Tensor(np.array([0.5, 2.0]))
+    mid = ad.exp(t)
+    out = ad.sum_(mid * t)
+    out.backward()
+    assert mid.grad is None and out.grad is None
+    np.testing.assert_allclose(t.grad, np.exp(t.value) * (1.0 + t.value), rtol=1e-15)
+
+
 def test_backward_requires_scalar():
     t = ad.Tensor(np.ones(3))
     with pytest.raises(ValueError, match="scalar"):
@@ -285,11 +303,6 @@ def test_shape_accessors():
 
 
 # -- Cholesky-backed linear algebra -----------------------------------------
-
-
-def spd(rng, n):
-    Q = rng.standard_normal((n, n))
-    return Q @ Q.T + n * np.eye(n)
 
 
 def test_psd_solve_matches_numpy():

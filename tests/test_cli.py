@@ -237,6 +237,9 @@ MALFORMED = {
                               "top_posterior.alpha has shape (2,)"),
     "version-1 unfittable warp amplitude": (1, lambda d: d["theta"].__setitem__(4, 1e308),
                                             "theta does not give a fittable model: warp layer 0"),
+    "version-1 overflowing top amplitude": (
+        1, lambda d: d["theta"].__setitem__(1, 1e308),
+        "theta does not give a fittable model: non-finite values in the top level's amplitude"),
     "version-1 ragged base_draws": (1, lambda d: d["base_draws"].update({"top": [[1.0], []]}),
                                     "base_draws.top is not a numeric array"),
 }
@@ -279,6 +282,10 @@ def test_gen_synthetic(tmp_path, capsys):
     ds = load_csv(out, "y")
     assert len(ds) == 25 and ds.columns == ["x1"]
     assert main(["gen-synthetic", "--kind", "donut", "--output", str(out)]) == 2
+    for bad in ("nan", "inf", "-1"):
+        assert main(["gen-synthetic", "--kind", "gramacy_2d", "--noise-std", bad,
+                     "--output", str(tmp_path / "bad.csv")]) == 2
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_output_dir_environment_variable(tmp_path, monkeypatch):

@@ -97,6 +97,16 @@ def test_load_csv_strict_errors(tmp_path):
         load_csv(write(tmp_path / "t4.csv", BASIC), 9)
 
 
+def test_oversized_field_is_a_value_error(tmp_path):
+    # the csv module's field limit is 128 KiB; past it the header parse and
+    # the cell-by-cell parser raise csv.Error, which must surface as ValueError
+    big = "a" * (200 * 1024)
+    for name, text in (("header.csv", f"{big},y\n1,2\n3,4\n"),
+                       ("cell.csv", f"a,y\n1,2\n{big},4\n")):
+        with pytest.raises(ValueError, match=f"{name}: not a readable CSV file: field larger"):
+            load_csv(write(tmp_path / name, text), "y")
+
+
 def test_non_finite_cell_reported(tmp_path):
     path = write(tmp_path / "t.csv", "a,b,y\n1,2,10\n3,inf,20\n")
     with pytest.raises(ValueError, match="non-finite value at row 3"):

@@ -1,10 +1,12 @@
-"""Property test: ``load`` turns any malformed document into ``ValueError``.
+"""Property tests: the loaders turn any malformed input into ``ValueError``.
 
 Hypothesis mutates or deletes one field, anywhere in a small saved document
 (version 2) or in the committed version-1 fixture, and ``load`` must either
-return a model or raise ``ValueError``; any other exception is a crash the
-command line would report as a traceback. The search is derandomized and
-small so the suite stays deterministic and fast.
+return a model or raise ``ValueError``. Likewise it inserts and deletes
+characters in small CSV texts, and ``load_csv`` must return a dataset or
+raise ``ValueError``. Any other exception is a crash the command line would
+report as a traceback. The searches are derandomized and small so the suite
+stays deterministic and fast.
 """
 
 import base64
@@ -18,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sswim.data import load_csv  # noqa: E402
 from sswim.model import build_model, load, objective, save  # noqa: E402
 
 # integers at and past the bounds of the C and numpy integer types
@@ -85,5 +88,30 @@ def test_load_raises_only_value_error(documents, mutated_path, data):
     mutated_path.write_text(json.dumps(doc))
     try:
         load(mutated_path)
+    except ValueError:
+        pass
+
+
+CSV_TEXTS = ("a,b,y\n1,2,10\n3,4,20\n5,6,30\n", "x1,y\r\n0.5,-1\r\n2e3,1e-9\r\n")
+# quoting, separators, a NUL, a byte-order mark, a lone surrogate (invalid
+# UTF-8 once encoded), non-finite words and a field past csv's 128 KiB limit
+PIECES = st.one_of(st.text(max_size=4), st.sampled_from(
+    ['"', ",", "\n", "\r", "\x00", "\ufeff", "\udcff", "inf", "nan", "a" * (130 * 1024)]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_load_csv_raises_only_value_error(mutated_path, data):
+    text = data.draw(st.sampled_from(CSV_TEXTS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:i] + data.draw(PIECES) + text[i:]
+        else:
+            text = text[:i] + text[i + data.draw(st.integers(1, 4)):]
+    path = mutated_path.with_suffix(".csv")
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        load_csv(path, data.draw(st.sampled_from(["y", 0, -1])))
     except ValueError:
         pass

@@ -59,8 +59,9 @@ def test_gen_validation():
         gen(SyntheticSpec("spiral", 10))
     with pytest.raises(ValueError, match="n must"):
         gen(SyntheticSpec("gramacy_2d", 0))
-    with pytest.raises(ValueError, match="noise_std"):
-        gen(SyntheticSpec("gramacy_2d", 10, noise_std=-0.1))
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_std"):
+            gen(SyntheticSpec("gramacy_2d", 10, noise_std=bad))
 
 
 def test_write_csv_round_trip(tmp_path):
