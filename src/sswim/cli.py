@@ -2,8 +2,9 @@
 
 Subcommands: train, sweep-pseudo, sweep-depth, overfit-trace, export-warp,
 gen-synthetic. Run settings are the fields of :class:`RunConfig`: defaults,
-then an optional key=value config file, then explicit flags (flags win; flag
-names mirror config keys one-to-one). A float setting must be finite. All
+then an optional key=value config file, then explicit flags (flags win). Each
+field is one config key and one flag, named by the field with "_" read as
+"-", and carries its help text. A float setting must be finite. All
 outputs are CSV with headers, written under --output-dir, the
 SSWIM_OUTPUT_DIR environment variable, or the working directory.
 
@@ -17,14 +18,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (_parse_bool, load_from_manifest, read_key_value_file, split,
-                   standardize)
+from .data import load_from_manifest, read_key_value_file, split, standardize
 from .metrics import MetricReport, aggregate, mnlp, report_row, rmse, write_report
 from .model import build_model, load, predict_f, save
 from .synthetic import KINDS, SyntheticSpec, gen, write_csv
@@ -38,32 +38,34 @@ class ConfigError(Exception):
     """Invalid configuration; reported with exit code 2."""
 
 
+def _setting(default, help=None):
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    manifest: str = None
-    synthetic: str = None
-    n: int = 400  # synthetic sample count
-    noise_std: float = 0.05  # synthetic target noise
-    depth: int = 1
-    M: int = 100
-    M_w: int = None  # warp frequency count; None means M
-    n_pseudo: int = 64
-    sigma_gamma: float = 0.1
-    lengthscale: float = 1.0
-    warp_lengthscale: float = None  # None means lengthscale
-    noise_var: float = 0.1
-    warp_noise_var: float = 1e-4
-    steps: int = 150
-    learning_rate: float = 0.01
-    keep_best: bool = True
-    repeats: int = 10
-    seed: int = 0
-    train_fraction: float = 2.0 / 3.0
-    output_dir: str = None
+    manifest: str = _setting(None, "dataset manifest path")
+    synthetic: str = _setting(None, f"synthetic kind, one of {KINDS}")
+    n: int = _setting(400, "synthetic sample count")
+    noise_std: float = _setting(0.05, "synthetic target noise std")
+    depth: int = _setting(1, f"warp layers, 0..{MAX_DEPTH}")
+    M: int = _setting(100, "top-level frequency count")
+    M_w: int = _setting(None, "warp frequency count (default: M)")
+    n_pseudo: int = _setting(64, "pseudo pairs per warp regressor")
+    sigma_gamma: float = _setting(0.1, "pseudo-target init spread")
+    lengthscale: float = _setting(1.0, "initial top lengthscale")
+    warp_lengthscale: float = _setting(None, "initial warp lengthscale (default: lengthscale)")
+    noise_var: float = _setting(0.1, "initial top noise variance")
+    warp_noise_var: float = _setting(1e-4, "initial warp noise variance")
+    steps: int = _setting(150)
+    learning_rate: float = _setting(0.01)
+    repeats: int = _setting(10)
+    seed: int = _setting(0)
+    train_fraction: float = _setting(2.0 / 3.0)
+    output_dir: str = _setting(None)
 
 
-_COERCERS = {f.name: {"str": str, "int": int, "float": float, "bool": _parse_bool}[f.type]
-             for f in fields(RunConfig)}
+_COERCERS = {f.name: {"str": str, "int": int, "float": float}[f.type] for f in fields(RunConfig)}
 
 
 def _effective_config(args) -> RunConfig:
@@ -142,8 +144,7 @@ def _run_repeat(dataset, cfg: RunConfig, child, with_trace=False):
                         lengthscale=cfg.lengthscale, warp_lengthscale=cfg.warp_lengthscale,
                         noise_var=cfg.noise_var, warp_noise_var=cfg.warp_noise_var,
                         seed=model_seed)
-    config = TrainConfig(steps=cfg.steps, learning_rate=cfg.learning_rate,
-                         keep_best=cfg.keep_best)
+    config = TrainConfig(steps=cfg.steps, learning_rate=cfg.learning_rate)
     started = time.perf_counter()
     model, trace = train(model, train_set.X, train_set.y, config,
                          (test_set.X, test_set.y) if with_trace else None)
@@ -281,21 +282,14 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
     d = model.input_dim
     grid = _parse_grid_spec(grid_spec, d)
     gi = propagate(model.stack, grid)
-    warp_mean = np.broadcast_to(np.asarray(gi.mean), grid.shape)
-    warp_var = np.broadcast_to(np.asarray(gi.var), grid.shape)
     mu, var = predict_f(model, grid)
 
     stem = path.name.removesuffix(".json").removesuffix(".model")
     coord_cols = [f"x{i + 1}" for i in range(d)]
     grid_cols = (coord_cols + [f"warp_mean_{i + 1}" for i in range(d)]
                  + [f"warp_var_{i + 1}" for i in range(d)] + ["pred_mean", "pred_var"])
-    grid_rows = []
-    for i in range(grid.shape[0]):
-        row = dict(zip(coord_cols, map(float, grid[i])))
-        row.update({f"warp_mean_{k + 1}": float(warp_mean[i, k]) for k in range(d)})
-        row.update({f"warp_var_{k + 1}": float(warp_var[i, k]) for k in range(d)})
-        row.update({"pred_mean": float(mu[i]), "pred_var": float(var[i])})
-        grid_rows.append(row)
+    grid_rows = [dict(zip(grid_cols, map(float, row)))
+                 for row in np.column_stack([grid, gi.mean, gi.var, mu, var])]
     grid_path = write_report(out / f"{stem}_warp_grid.csv", grid_rows, grid_cols)
 
     pseudo_cols = (["layer", "role", "index"] + coord_cols
@@ -303,10 +297,9 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
     pseudo_rows = []
     for j, layer in enumerate(model.stack.layers):
         for role, xs, ys in (("g", layer.Xg, layer.Yg), ("h", layer.Xh, layer.Yh)):
-            for i in range(xs.shape[0]):
+            for i, values in enumerate(np.column_stack([xs, ys])):
                 row = {"layer": j, "role": role, "index": i}
-                row.update(dict(zip(coord_cols, map(float, xs[i]))))
-                row.update({f"target_{k + 1}": float(ys[i, k]) for k in range(d)})
+                row.update(zip(pseudo_cols[3:], map(float, values)))
                 pseudo_rows.append(row)
     pseudo_path = write_report(out / f"{stem}_pseudo.csv", pseudo_rows, pseudo_cols)
     print(f"exported {grid_path} and {pseudo_path}")
@@ -333,27 +326,9 @@ def _parse_int_list(text, what):
 def _add_run_flags(parser):
     parser.add_argument("--config", metavar="FILE",
                         help="key=value config file; explicit flags override it")
-    parser.add_argument("--manifest", help="dataset manifest path")
-    parser.add_argument("--synthetic", help=f"synthetic kind, one of {KINDS}")
-    parser.add_argument("--n", type=int, help="synthetic sample count")
-    parser.add_argument("--noise-std", type=float, help="synthetic target noise std")
-    parser.add_argument("--depth", type=int, help=f"warp layers, 0..{MAX_DEPTH}")
-    parser.add_argument("--M", type=int, help="top-level frequency count")
-    parser.add_argument("--M-w", type=int, help="warp frequency count (default: M)")
-    parser.add_argument("--n-pseudo", type=int, help="pseudo pairs per warp regressor")
-    parser.add_argument("--sigma-gamma", type=float, help="pseudo-target init spread")
-    parser.add_argument("--lengthscale", type=float, help="initial top lengthscale")
-    parser.add_argument("--warp-lengthscale", type=float,
-                        help="initial warp lengthscale (default: lengthscale)")
-    parser.add_argument("--noise-var", type=float, help="initial top noise variance")
-    parser.add_argument("--warp-noise-var", type=float, help="initial warp noise variance")
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--learning-rate", type=float)
-    parser.add_argument("--keep-best", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--repeats", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--train-fraction", type=float)
-    parser.add_argument("--output-dir")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=_COERCERS[f.name],
+                            help=f.metadata["help"])
 
 
 def _build_parser():

@@ -22,7 +22,7 @@ import numpy as np
 
 TARGET_TRANSFORMS = ("none", "log1p")
 
-MANIFEST_KEYS = ("path", "target", "drop_columns", "drop_constant", "target_transform")
+MANIFEST_KEYS = ("path", "target", "drop_columns", "target_transform")
 
 
 @dataclass
@@ -39,7 +39,6 @@ class Dataset:
 @dataclass
 class Preprocessing:
     drop_columns: tuple = ()
-    drop_constant: bool = True
     target_transform: str = "none"
 
 
@@ -100,7 +99,12 @@ def _parse_rows_strict(path, header, rows):
 
 
 def load_csv(path, target_column, preprocessing: Preprocessing = None, name=None) -> Dataset:
-    """Load one CSV file and apply its declared preprocessing."""
+    """Load one CSV file and apply its declared preprocessing.
+
+    After the declared drops and the target transform, feature columns that
+    are constant over the file are always dropped, with a warning naming
+    them: no model can use them, and standardization would divide by zero.
+    """
     pp = preprocessing if preprocessing is not None else Preprocessing()
     if pp.target_transform not in TARGET_TRANSFORMS:
         raise ValueError(f"unknown target_transform {pp.target_transform!r}; "
@@ -142,30 +146,20 @@ def load_csv(path, target_column, preprocessing: Preprocessing = None, name=None
     x = raw[:, keep]
     columns = [header[i] for i in keep]
 
-    if pp.drop_constant:
-        constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
-        if constant.size:
-            names = [columns[i] for i in constant]
-            warnings.warn(f"{path}: dropping constant column(s) {names}")
-            live = [i for i in range(x.shape[1]) if i not in set(constant)]
-            x, columns = x[:, live], [columns[i] for i in live]
-            if x.shape[1] == 0:
-                raise ValueError(f"{path}: all feature columns are constant")
+    constant = np.flatnonzero(x.min(axis=0) == x.max(axis=0))
+    if constant.size:
+        names = [columns[i] for i in constant]
+        warnings.warn(f"{path}: dropping constant column(s) {names}")
+        live = [i for i in range(x.shape[1]) if i not in set(constant)]
+        x, columns = x[:, live], [columns[i] for i in live]
+        if x.shape[1] == 0:
+            raise ValueError(f"{path}: all feature columns are constant")
     bad = ~np.isfinite(x)
     if bad.any() or not np.all(np.isfinite(y)):
         i, j = map(int, np.argwhere(bad)[0]) if bad.any() else (int(np.flatnonzero(~np.isfinite(y))[0]), -1)
         col = columns[j] if j >= 0 else header[target_idx]
         raise ValueError(f"{path}: non-finite value at row {i + 2}, column {col!r}")
     return Dataset(x, y, name if name is not None else path.stem, columns)
-
-
-def _parse_bool(text):
-    value = str(text).strip().lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def read_key_value_file(path) -> dict:
@@ -201,7 +195,6 @@ def load_manifest(path) -> dict:
         "target": raw["target"],
         "preprocessing": Preprocessing(
             drop_columns=drop,
-            drop_constant=_parse_bool(raw.get("drop_constant", "true")),
             target_transform=raw.get("target_transform", "none"),
         ),
         "name": path.stem,

@@ -3,14 +3,15 @@
 Every step evaluates the objective and its gradient over the whole training
 set and takes one Adam-style update (decay 0.9/0.999, epsilon 1e-8) on the
 flat parameter vector. The trace records the objective after every step,
-plus test RMSE/MNLP per step when a test set is supplied, and the best
-parameters seen are checkpointed; by default the best checkpoint is what
-the caller gets back, since the evidence is known to keep improving while
-test error degrades on long runs.
+plus test RMSE/MNLP per step when a test set is supplied. The parameters
+with the lowest objective seen are checkpointed, and that checkpoint is what
+the caller gets back: the evidence is known to keep improving while test
+error degrades on long runs, and a late step can overshoot.
 
-A non-finite objective or a failed factorization rolls the optimizer back
-to its last healthy state and halves the learning rate; five consecutive
-rollbacks abandon the run with ``diverged`` set on the trace.
+A non-finite objective or gradient, or a failed factorization, rejects the
+step: the parameters and the Adam moments stay at the last accepted step and
+the learning rate halves; five consecutive rejections abandon the run with
+``diverged`` set on the trace.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ MAX_CONSECUTIVE_REVERTS = 5
 
 @dataclass
 class TrainConfig:
+    """Number of Adam steps (0 only evaluates) and the initial learning rate."""
+
     steps: int = 150
     learning_rate: float = 0.01
-    keep_best: bool = True
 
 
 @dataclass
@@ -46,29 +48,25 @@ class TrainTrace:
     final_learning_rate: float = 0.0
 
 
-def _validate(config: TrainConfig):
-    if config.steps < 0:
-        raise ValueError("steps must be >= 0")
-    if not 0 < config.learning_rate < np.inf:
-        raise ValueError("learning_rate must be positive and finite")
-
-
 def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     """Optimize the model in place; returns ``(model, trace)``.
 
+    The model is left at the lowest-objective checkpoint, caches coherent.
     ``test_data`` is an optional ``(x_test, y_test)`` pair; when given, the
     trace carries test RMSE and MNLP for every recorded objective, enabling
     per-step overfitting analysis.
     """
-    _validate(config)
+    if config.steps < 0:
+        raise ValueError("steps must be >= 0")
+    if not 0 < config.learning_rate < np.inf:
+        raise ValueError("learning_rate must be positive and finite")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     record = test_data is not None
     if record:
         x_test, y_test = (np.asarray(a, dtype=float) for a in test_data)
 
     trace = TrainTrace(test_rmse=[] if record else None,
-                       test_mnlp=[] if record else None,
-                       final_learning_rate=config.learning_rate)
+                       test_mnlp=[] if record else None)
 
     def record_point(value):
         trace.objectives.append(value)
@@ -77,15 +75,10 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
             trace.test_rmse.append(rmse(y_test, mu))
             trace.test_mnlp.append(mnlp(y_test, mu, var))
 
-    if config.steps == 0:
-        record_point(objective(model, x, y))
-        trace.best_objective = trace.objectives[0]
-        return model, trace
-
     theta = model.theta.copy()
     value, grad = value_and_gradient(model, x, y)
     record_point(value)
-    best_value, best_theta, best_step = value, theta.copy(), 0
+    best_value, best_theta, best_step = value, theta, 0
 
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -93,20 +86,16 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     t = 0
     consecutive = 0
     for step in range(1, config.steps + 1):
-        saved = (m.copy(), v.copy(), t)
-        t += 1
-        m = BETA1 * m + (1.0 - BETA1) * grad
-        v = BETA2 * v + (1.0 - BETA2) * grad * grad
-        m_hat = m / (1.0 - BETA1 ** t)
-        v_hat = v / (1.0 - BETA2 ** t)
+        m_next = BETA1 * m + (1.0 - BETA1) * grad
+        v_next = BETA2 * v + (1.0 - BETA2) * grad * grad
+        m_hat = m_next / (1.0 - BETA1 ** (t + 1))
+        v_hat = v_next / (1.0 - BETA2 ** (t + 1))
         candidate = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         try:
             apply_parameters(model, candidate)
             new_value, new_grad = value_and_gradient(model, x, y)
-            if not (np.isfinite(new_value) and np.all(np.isfinite(new_grad))):
-                raise ad.NonFiniteError("non-finite objective or gradient")
+            ad.check_finite(new_grad, "gradient")
         except (ad.NonFiniteError, ad.FactorizationError):
-            m, v, t = saved
             lr *= 0.5
             consecutive += 1
             apply_parameters(model, theta)
@@ -119,15 +108,15 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
                 break
             continue
         consecutive = 0
+        m, v, t = m_next, v_next, t + 1
         theta, value, grad = candidate, new_value, new_grad
         record_point(value)
         if value < best_value:
-            best_value, best_theta, best_step = value, theta.copy(), step
+            best_value, best_theta, best_step = value, theta, step
 
     trace.best_step, trace.best_objective = best_step, best_value
     trace.final_learning_rate = lr
-    final_theta = best_theta if config.keep_best else theta
-    if not np.array_equal(model.theta, final_theta):
-        apply_parameters(model, final_theta)
+    if not np.array_equal(model.theta, best_theta):
+        apply_parameters(model, best_theta)
         objective(model, x, y)
     return model, trace

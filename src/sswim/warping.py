@@ -15,8 +15,10 @@ law of m(x) is exactly Gaussian with diagonal covariance:
 with s_g, s_h the shared scalar predictive variances. For a Gaussian input
 the output is no longer Gaussian; :func:`warp_gaussian` moment-matches it,
 treating the input and the two regressor values as mutually independent and
-evaluating g, h through the expected feature map. With zero input variance
-it reduces bit-exactly to :func:`warp_point`.
+evaluating g, h through the expected feature map. Both operations share one
+moment formula, in which a point is a Gaussian of zero variance, so with zero
+input variance :func:`warp_gaussian` reduces bit-exactly to
+:func:`warp_point`.
 
 The pseudo pairs are parameters of the enclosing model, not data: they are
 initialized near the identity warp (targets around 1 for g, around 0 for h)
@@ -119,40 +121,36 @@ def draw_warp_layer(data_min, data_max, init: WarpInit, bases,
     return WarpLayer(g_basis, h_basis, Xg, Yg, Xh, Yh, float(g_noise_var), float(h_noise_var))
 
 
-def _spread(v, batched):
-    # per-row scalar variance broadcast against (N, D) coordinates
-    return ad.expand_last(v) if batched else v
+def _moments(layer: WarpLayer, features, mean, var=None) -> GaussianInput:
+    """Gaussian law of g * x + h for x with this mean and variance (None: a point).
+
+    ``features(basis)`` gives the (expected) features g and h are read at.
+    The output variance per coordinate is
+
+        var_d = var_d * s_g + var_d * mu_g_d^2 + s_g * mean_d^2 + s_h
+
+    where the first two terms vanish for a point.
+    """
+    g_mean, s_g = ssgp.predict(layer.g_post, features(layer.g_basis))
+    h_mean, s_h = ssgp.predict(layer.h_post, features(layer.h_basis))
+    if np.ndim(mean) == 2:  # per-row scalar variances broadcast against (N, D)
+        s_g, s_h = ad.expand_last(s_g), ad.expand_last(s_h)
+    out_mean = g_mean * mean + h_mean
+    out_var = s_g * ad.multiply(mean, mean)
+    if var is not None:  # summed left to right as written above, for stable bits
+        out_var = var * s_g + var * ad.multiply(g_mean, g_mean) + out_var
+    return GaussianInput(out_mean, out_var + s_h)
 
 
 def warp_point(layer: WarpLayer, x) -> GaussianInput:
-    """Exact Gaussian law of g(x) * x + h(x) for deterministic x.
-
-    x is (D,) or a batch (N, D); batches are warped row-wise.
-    """
-    g_mean, g_var = ssgp.predict(layer.g_post, feature_map(layer.g_basis, x))
-    h_mean, h_var = ssgp.predict(layer.h_post, feature_map(layer.h_basis, x))
-    batched = np.ndim(x) == 2
-    s_g, s_h = _spread(g_var, batched), _spread(h_var, batched)
-    mean = g_mean * x + h_mean
-    var = s_g * ad.multiply(x, x) + s_h
-    return GaussianInput(mean, var)
+    """Exact Gaussian law of g(x) * x + h(x) for deterministic x, (D,) or (N, D) rows."""
+    return _moments(layer, lambda basis: feature_map(basis, x), x)
 
 
 def warp_gaussian(layer: WarpLayer, gi: GaussianInput) -> GaussianInput:
     """Moment-matched Gaussian law of g(x) * x + h(x) for Gaussian x ~ gi.
 
-    g and h are evaluated through the expected feature map of gi, and their
-    means/variances then treated as deterministic; x, g, h are taken mutually
-    independent. The output variance per coordinate is
-
-        var_d = gi.var_d * s_g + gi.var_d * mu_g_d^2 + s_g * gi.mean_d^2 + s_h
+    g and h are read through the expected feature map of gi; x, g and h are
+    taken mutually independent.
     """
-    mean, var = gi.mean, gi.var
-    g_mean, g_var = ssgp.predict(layer.g_post, expected_feature_map(layer.g_basis, gi))
-    h_mean, h_var = ssgp.predict(layer.h_post, expected_feature_map(layer.h_basis, gi))
-    batched = np.ndim(mean) == 2
-    s_g, s_h = _spread(g_var, batched), _spread(h_var, batched)
-    out_mean = g_mean * mean + h_mean
-    out_var = (var * s_g + var * ad.multiply(g_mean, g_mean)
-               + s_g * ad.multiply(mean, mean) + s_h)
-    return GaussianInput(out_mean, out_var)
+    return _moments(layer, lambda basis: expected_feature_map(basis, gi), gi.mean, gi.var)

@@ -1,14 +1,16 @@
 """Command-line driver: exit codes, output artifacts, determinism."""
 
+import argparse
 import base64
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sswim.cli import main
+from sswim.cli import _COERCERS, RunConfig, _build_parser, main
 from sswim.data import load_csv
 from sswim.model import load
 
@@ -76,13 +78,33 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 def test_removed_gradient_mode_is_rejected(tmp_path, capsys):
     config = tmp_path / "old.conf"
-    config.write_text("synthetic = steps_chirp_1d\ngradient_mode = finite-difference\n")
-    assert main(["train", "--config", str(config)]) == 2
-    assert "unknown config key 'gradient_mode'" in capsys.readouterr().err
-    for flag in ("--gradient-mode", "--fd-epsilon"):
+    for key, value in (("gradient_mode", "finite-difference"), ("keep_best", "false")):
+        config.write_text(f"synthetic = steps_chirp_1d\n{key} = {value}\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+    manifest = tmp_path / "old.manifest"
+    manifest.write_text("path = d.csv\ntarget = y\ndrop_constant = false\n")
+    assert main(["train", "--manifest", str(manifest)]) == 2
+    assert "unknown manifest key(s) ['drop_constant']" in capsys.readouterr().err
+    for flags in (["--gradient-mode", "1"], ["--fd-epsilon", "1"], ["--keep-best"],
+                  ["--no-keep-best"]):
         with pytest.raises(SystemExit) as exit_info:
-            main(["train", *FAST, flag, "1"])
+            main(["train", *FAST, *flags])
         assert exit_info.value.code == 2
+
+
+def test_run_flags_are_the_run_config_fields():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("train", "sweep-pseudo", "sweep-depth", "overfit-trace"):
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        run_flags = [a for a in actions.values()
+                     if a.dest not in ("help", "config", "grid", "depths")]
+        assert [a.dest for a in run_flags] == [f.name for f in fields(RunConfig)]
+        for f, action in zip(fields(RunConfig), run_flags):
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is _COERCERS[f.name]
+            assert action.help == f.metadata["help"]
 
 
 def test_sweep_pseudo_table_and_byte_identical_rerun(tmp_path):

@@ -145,6 +145,10 @@ def test_manifest_drop_columns_list(tmp_path):
 def test_manifest_validation(tmp_path):
     with pytest.raises(ValueError, match="unknown manifest key"):
         load_manifest(write(tmp_path / "a.manifest", "path = x.csv\ntarget = y\ncolor = red\n"))
+    # constant columns are always dropped; the switch that kept them is gone
+    with pytest.raises(ValueError, match=r"unknown manifest key\(s\) \['drop_constant'\]"):
+        load_manifest(write(tmp_path / "a.manifest",
+                            "path = x.csv\ntarget = y\ndrop_constant = false\n"))
     with pytest.raises(ValueError, match="missing required key 'target'"):
         load_manifest(write(tmp_path / "b.manifest", "path = x.csv\n"))
     missing = write(tmp_path / "c.manifest", "path = nowhere.csv\ntarget = y\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sswim.features import (GaussianInput, SpectralBasis, expected_feature_map,
                             feature_map, frequencies, make_basis, sample_frequencies)
@@ -109,13 +111,18 @@ def test_doubling_lengthscales_halves_frequencies_exactly():
     np.testing.assert_array_equal(frequencies(b), frequencies(a) / 2.0)
 
 
-def test_expected_feature_map_dirac_is_bit_equal():
-    rng = np.random.default_rng(7)
-    basis = make_basis("matern32", 12, 2, seed=13, lengthscales=[0.5, 2.0], amplitude=0.9)
-    for _ in range(5):
-        x = rng.standard_normal(2)
-        np.testing.assert_array_equal(expected_feature_map(basis, dirac(x)),
-                                      feature_map(basis, x))
+@settings(max_examples=25)
+@given(family=st.sampled_from(["matern32", "rbf"]), M=st.integers(1, 12),
+       D=st.integers(1, 4), rows=st.one_of(st.none(), st.integers(1, 5)),
+       seed=st.integers(0, 2**16))
+def test_expected_feature_map_dirac_is_bit_equal(family, M, D, rows, seed):
+    # rows=None maps one (D,) point, otherwise a (rows, D) batch
+    rng = np.random.default_rng(seed)
+    basis = make_basis(family, M, D, seed=seed, lengthscales=rng.uniform(0.5, 2.0, D),
+                       amplitude=0.9)
+    x = rng.standard_normal((D,) if rows is None else (rows, D))
+    np.testing.assert_array_equal(expected_feature_map(basis, dirac(x)),
+                                  feature_map(basis, x))
 
 
 def test_expected_feature_map_zero_mean_symmetry():

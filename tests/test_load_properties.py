@@ -71,7 +71,7 @@ def mutated_path(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated") / "mutated.model.json"
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_load_raises_only_value_error(documents, mutated_path, data):
     doc = json.loads(json.dumps(documents[data.draw(st.sampled_from([2, 1]))]))
@@ -99,7 +99,7 @@ PIECES = st.one_of(st.text(max_size=4), st.sampled_from(
     ['"', ",", "\n", "\r", "\x00", "\ufeff", "\udcff", "inf", "nan", "a" * (130 * 1024)]))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_load_csv_raises_only_value_error(mutated_path, data):
     text = data.draw(st.sampled_from(CSV_TEXTS))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import sswim.autodiff as ad
@@ -430,10 +432,16 @@ def test_saved_document_holds_exact_blobs_and_the_factor(tmp_path):
         np.testing.assert_array_equal(got, want)
 
 
-def test_save_load_save_is_byte_identical(tmp_path):
-    x, y = toy_data(27, n=20, d=2)
-    model = build_model(x, n_layers=2, M=5, M_w=3, n_pseudo=4, seed=20)
+@settings(max_examples=25)
+@given(depth=st.integers(0, 3), d=st.integers(1, 3), rows=st.integers(2, 12),
+       M=st.integers(1, 6), M_w=st.integers(1, 4), n_pseudo=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_save_load_save_is_byte_identical(tmp_path_factory, depth, d, rows, M, M_w,
+                                          n_pseudo, seed):
+    x, y = toy_data(seed, n=rows, d=d)
+    model = build_model(x, n_layers=depth, M=M, M_w=M_w, n_pseudo=n_pseudo, seed=seed)
     objective(model, x, y)
+    tmp_path = tmp_path_factory.mktemp("roundtrip")
     first = save(model, tmp_path / "first.json")
     second = save(load(first), tmp_path / "second.json")
     assert first.read_bytes() == second.read_bytes()

@@ -1,13 +1,18 @@
-"""Optimization loop: traces, keep-best policy, divergence handling."""
+"""Optimization loop: traces, best-checkpoint return, divergence handling."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
+from sswim.data import Dataset, split, standardize
 from sswim.metrics import rmse
-from sswim.model import build_model, objective, predict_f
+from sswim.model import apply_parameters, build_model, objective, predict_f
 from sswim.train import MAX_CONSECUTIVE_REVERTS, TrainConfig, TrainTrace, train
+
+# ``import sswim.train`` gives the function the package re-exports
+train_module = importlib.import_module("sswim.train")
 
 
 def sine_data(seed, n=60, noise=0.1):
@@ -25,7 +30,6 @@ def test_config_defaults():
     config = TrainConfig()
     assert config.steps == 150
     assert config.learning_rate == 0.01
-    assert config.keep_best is True
 
 
 def test_config_validation():
@@ -86,13 +90,6 @@ def test_keep_best_returns_best_checkpoint():
     assert trace.objectives[trace.best_step] == trace.best_objective
 
 
-def test_keep_best_off_returns_final_iterate():
-    x, y = sine_data(8, n=40)
-    model = small_model(x, seed=6)
-    model, trace = train(model, x, y, TrainConfig(steps=20, keep_best=False))
-    assert objective(model, x, y) == trace.objectives[-1]
-
-
 def test_objective_improves_on_well_specified_data():
     x, y = sine_data(9, n=80, noise=0.05)
     model = build_model(x, n_layers=0, M=16, seed=7)
@@ -139,3 +136,48 @@ def test_trace_dataclass_defaults():
     trace = TrainTrace()
     assert trace.objectives == [] and trace.best_step == 0
     assert not trace.diverged
+
+
+def test_adam_overshoot_on_concrete_shape(monkeypatch):
+    # The concrete-shaped benchmark job (D=8, theta of 40,990) at seed 6009,
+    # job 5 ends its 2 steps above its initial objective. This is Adam's
+    # second step overshooting a smooth valley, not a numerical fault: no
+    # step is rolled back, no Cholesky needs its jitter retry, and the
+    # objective along the second step dips below both ends.
+    data_seed, split_seed, model_seed, _ = (
+        int(s) for s in np.random.SeedSequence([6009, 5]).generate_state(4))
+    rng = np.random.default_rng(data_seed)
+    x = rng.standard_normal((1030, 8))
+    y = np.sin(x).sum(axis=1) + 0.1 * rng.standard_normal(1030)
+    train_set, test_set = split(Dataset(x, y, "sum_sin_8d", list(range(8))), 0.8, split_seed)
+    train_set, _, _ = standardize(train_set, test_set)
+    x, y = train_set.X, train_set.y
+    model = build_model(x, n_layers=1, M=256, n_pseudo=1280, lengthscale=1.5,
+                        noise_var=0.3, seed=model_seed)
+
+    applied, failed_factorizations = [], []
+    install, cholesky = train_module.apply_parameters, np.linalg.cholesky
+
+    def recording_install(m, theta):
+        applied.append(theta)
+        return install(m, theta)
+
+    def counting_cholesky(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failed_factorizations.append(a.shape)
+            raise
+
+    monkeypatch.setattr(train_module, "apply_parameters", recording_install)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    model, trace = train(model, x, y, TrainConfig(steps=2, learning_rate=0.01))
+
+    np.testing.assert_allclose(trace.objectives, [771.8164980252639, 689.869519899049,
+                                                  792.0548727452681], rtol=1e-6)
+    assert trace.best_step == 1 and not trace.diverged
+    assert trace.final_learning_rate == 0.01  # no rollback
+    assert failed_factorizations == []
+    theta1, theta2 = applied[:2]
+    apply_parameters(model, theta1 + 0.4 * (theta2 - theta1))
+    assert objective(model, x, y) < min(trace.objectives[1:])

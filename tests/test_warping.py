@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sswim import ssgp
 from sswim.features import GaussianInput, expected_feature_map, feature_map, make_basis
@@ -117,13 +119,19 @@ def test_warp_point_monte_carlo_oracle():
     np.testing.assert_array_less(np.abs(out.var - sample_var), 4 * se_var)
 
 
-def test_warp_point_batch_matches_rows():
-    layer = random_layer(11)
-    rng = np.random.default_rng(12)
-    X = rng.uniform(0, 1, (7, 2))
+# tiny random layers: seed, input dimension, warp frequencies, pseudo pairs
+LAYERS = dict(seed=st.integers(0, 2**16), D=st.integers(1, 3), M_w=st.integers(1, 6),
+              n_pseudo=st.integers(1, 8))
+
+
+@settings(max_examples=25)
+@given(rows=st.integers(1, 7), **LAYERS)
+def test_warp_point_batch_matches_rows(rows, seed, D, M_w, n_pseudo):
+    layer = random_layer(seed, D, M_w, n_pseudo)
+    X = np.random.default_rng(seed + 1).uniform(0, 1, (rows, D))
     batch = warp_point(layer, X)
-    assert batch.mean.shape == (7, 2) and batch.var.shape == (7, 2)
-    for i in range(7):
+    assert batch.mean.shape == (rows, D) and batch.var.shape == (rows, D)
+    for i in range(rows):
         single = warp_point(layer, X[i])
         np.testing.assert_allclose(batch.mean[i], single.mean, rtol=1e-12)
         np.testing.assert_allclose(batch.var[i], single.var, rtol=1e-12)
@@ -151,15 +159,16 @@ def test_variance_strictly_positive():
 # -- warp_gaussian -----------------------------------------------------------
 
 
-def test_warp_gaussian_dirac_reduces_to_warp_point():
-    layer = random_layer(17)
-    rng = np.random.default_rng(18)
-    for _ in range(5):
-        x = rng.uniform(0, 1, 2)
-        exact = warp_point(layer, x)
-        matched = warp_gaussian(layer, GaussianInput(x, np.zeros(2)))
-        np.testing.assert_array_equal(matched.mean, exact.mean)
-        np.testing.assert_array_equal(matched.var, exact.var)
+@settings(max_examples=25)
+@given(rows=st.one_of(st.none(), st.integers(1, 5)), **LAYERS)
+def test_warp_gaussian_dirac_reduces_to_warp_point(rows, seed, D, M_w, n_pseudo):
+    # rows=None warps one (D,) point, otherwise a (rows, D) batch
+    layer = random_layer(seed, D, M_w, n_pseudo)
+    x = np.random.default_rng(seed + 1).uniform(0, 1, (D,) if rows is None else (rows, D))
+    exact = warp_point(layer, x)
+    matched = warp_gaussian(layer, GaussianInput(x, np.zeros_like(x)))
+    np.testing.assert_array_equal(matched.mean, exact.mean)
+    np.testing.assert_array_equal(matched.var, exact.var)
 
 
 def test_warp_gaussian_zero_mean_specialization():
