@@ -16,18 +16,20 @@ be written once and executed either way, with bit-identical values.
 
 Linear algebra goes through three primitives: ``psd_solve``, ``psd_quad_diag``
 (the row-wise quadratic forms behind a predictive variance) and
-``psd_logdet``. Their adjoints are expressed in terms of additional
-triangular solves or a triangular inverse, so the Cholesky factorization
-itself is never differentiated through. None factors its matrix: the caller
-computes the factor once with ``chol_psd`` and passes it to every solve,
-quadratic form and log-determinant of that matrix. The trigonometric
-feature maps go through one more fused primitive, ``cos_sin``.
+``psd_logdet``. The first runs triangular solves; the other two multiply by
+the factor's triangular inverse (one LAPACK ``dtrtri``), which over many rows
+runs near GEMM speed. The Cholesky factorization itself is never
+differentiated through. None factors its matrix: the caller computes the
+factor once with ``chol_psd`` and passes it to every solve, quadratic form and
+log-determinant of that matrix. The trigonometric feature maps go through one
+more fused primitive, ``cos_sin``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
 
@@ -361,17 +363,26 @@ def psd_solve(A, L, B):
     return _node(X, (A, B), (vjp_A, solved))
 
 
+def _tri_inverse(L):
+    """L^-1 of a lower-triangular factor, from one LAPACK ``dtrtri``."""
+    L_inv, info = dtrtri(L, lower=1)
+    if info:
+        raise FactorizationError(f"triangular inverse failed: dtrtri info={info}")
+    return L_inv
+
+
 def psd_quad_diag(A, L, F):
     """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given A = L L^T.
 
-    One triangular solve V = L^-1 F^T; the value is the column sums of V^2,
-    so it is nonnegative by construction. Both adjoints share
-    S = L^-T V = A^-1 F^T: F-bar = 2 g S^T and A-bar = -(S g) S^T.
+    One ``dtrtri`` forms L^-1, and triangular multiplies by it give
+    V = L^-1 F^T and, for both adjoints, S = L^-T V = A^-1 F^T: F-bar = 2 g S^T
+    and A-bar = -(S g) S^T. The value is the column sums of V^2, so it is
+    nonnegative by construction whatever the rounding in L^-1.
     """
-    Fv = _as_value(F)
-    V = solve_triangular(L, Fv.T, lower=True)
+    L_inv = _tri_inverse(L)
+    V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
-    S = _per_cotangent(lambda g: solve_triangular(L, V, lower=True, trans="T"))
+    S = _per_cotangent(lambda g: dtrmm(1.0, L_inv, V, lower=1, trans_a=1))
 
     def vjp_A(g):
         s = S(g)
@@ -389,9 +400,7 @@ def psd_logdet(A, L):
 
     def vjp(g):
         # the gradient of log|A| is A^-1 itself, formed as L^-T L^-1
-        L_inv, info = dtrtri(L, lower=1)
-        if info:
-            raise FactorizationError(f"triangular inverse failed: dtrtri info={info}")
+        L_inv = _tri_inverse(L)
         return g * (L_inv.T @ L_inv)
 
     return _node(out, (A,), (vjp,))

@@ -265,7 +265,7 @@ def _parse_grid_spec(text, dim):
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
             raise ConfigError(f"bad grid part {part!r}") from None
-        if count < 1 or hi < lo:
+        if count < 1 or not (lo <= hi and math.isfinite(hi - lo)):  # rejects nan and inf
             raise ConfigError(f"bad grid part {part!r}")
         axes.append(np.linspace(lo, hi, count))
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -464,12 +464,13 @@ def _from_document(doc, version) -> SswimModel:
     model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
                        n_pseudo, sigma_gamma, seed)
     try:
-        _materialize(apply_parameters(model, theta))
-        # only the warp layers are refit, so a top-level overflow shows nowhere else
-        top = model.top_basis
-        for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
-                            ("noise variance", model.top_noise_var)):
-            ad.check_finite(value, f"the top level's {what}")
+        with np.errstate(over="ignore"):  # the checks below reject an overflow
+            _materialize(apply_parameters(model, theta))
+            # only the warp layers are refit, so a top-level overflow shows nowhere else
+            top = model.top_basis
+            for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
+                                ("noise variance", model.top_noise_var)):
+                ad.check_finite(value, f"the top level's {what}")
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise ValueError(f"theta does not give a fittable model: {e}") from None
     model.top_post = post

@@ -105,9 +105,9 @@ def predict(post: SsgpPosterior, feat):
     The caller chooses the map: features of a point for deterministic inputs,
     expected features for Gaussian inputs. The variance is
     noise_var * feat.(A^-1 feat), shared by all output columns, from one
-    triangular solve with the posterior's factor (``ad.psd_quad_diag``). It
-    excludes the observation noise, which a caller adds for the variance of a
-    new observation (as ``model.predict_f`` does).
+    triangular multiply by the inverse of the posterior's factor
+    (``ad.psd_quad_diag``). It excludes the observation noise, which a caller
+    adds for the variance of a new observation (as ``model.predict_f`` does).
     """
     mean = feat @ post.alpha
     return mean, post.noise_var * ad.psd_quad_diag(post.gram, post.A_factor, feat)

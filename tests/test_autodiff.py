@@ -354,14 +354,15 @@ def test_psd_solve_adjoints_share_one_solve(monkeypatch):
 
 def test_psd_quad_diag_matches_dense():
     rng = np.random.default_rng(18)
-    A = spd(rng, 5)
-    L = ad.chol_psd(A)
-    F = rng.standard_normal((7, 5))
-    want = np.diag(F @ np.linalg.inv(A) @ F.T)
-    np.testing.assert_allclose(ad.psd_quad_diag(A, L, F), want, rtol=1e-12)
-    assert ad.psd_quad_diag(A, L, F[2]) == pytest.approx(want[2], rel=1e-12)
-    traced = ad.psd_quad_diag(ad.Tensor(A), L, ad.Tensor(F)).value
-    assert np.array_equal(traced, ad.psd_quad_diag(A, L, F))
+    for rows, n in ((7, 5), (400, 6)):  # a short batch and a tall one, rows >> n
+        A = spd(rng, n)
+        L = ad.chol_psd(A)
+        F = rng.standard_normal((rows, n))
+        want = np.diag(F @ np.linalg.inv(A) @ F.T)
+        np.testing.assert_allclose(ad.psd_quad_diag(A, L, F), want, rtol=1e-12)
+        assert ad.psd_quad_diag(A, L, F[2]) == pytest.approx(want[2], rel=1e-12)
+        traced = ad.psd_quad_diag(ad.Tensor(A), L, ad.Tensor(F)).value
+        assert np.array_equal(traced, ad.psd_quad_diag(A, L, F))
 
 
 def test_psd_quad_diag_gradients():

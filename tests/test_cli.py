@@ -4,6 +4,7 @@ import argparse
 import base64
 import csv
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -213,6 +214,12 @@ def test_export_warp_validation(tmp_path, capsys):
     for bad in ("0:1:5,0:1:5", "0:1", "1:0:5"):
         assert main(["export-warp", "--model", str(model_path), "--grid", bad,
                      "--output-dir", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # a non-finite grid point would be predicted as a nan row
+    for bad in ("nan:1:3", "0:inf:3", "-inf:0:3", "-1e308:1e308:3"):
+        assert main(["export-warp", "--model", str(model_path), f"--grid={bad}",
+                     "--output-dir", str(tmp_path)]) == 2
+        assert f"bad grid part {bad!r}" in capsys.readouterr().err
 
 
 def blob(a):
@@ -274,6 +281,8 @@ def model_documents(tmp_path_factory):
     return {2: path.read_text(), 1: v1.read_text()}
 
 
+# the theta[.] = 1e308 cases overflow in exp; load rejects them without a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_export_warp_names_malformed_model_field(case, model_documents, tmp_path, capsys):
     version, edit, message = MALFORMED[case]
@@ -281,6 +290,8 @@ def test_export_warp_names_malformed_model_field(case, model_documents, tmp_path
     edit(doc)
     path = tmp_path / "bad.model.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(path)
     assert main(["export-warp", "--model", str(path), "--grid", "0:1:3",
                  "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
