@@ -6,11 +6,14 @@ Calling :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every
 leaf tensor (one with no parents, such as a parameter vector) that
 contributed to it. Intermediate nodes keep no gradient, so each cotangent is
 freed once its VJPs have run, and the plain arrays an operation lifted onto
-the tape as constants (data, identity matrices) get no VJP evaluated.
+the tape as constants (data, identity matrices) get no VJP evaluated. The
+pass is one-shot: a node drops its VJPs as soon as they have run, freeing the
+arrays they captured, and a second pass over the same tape raises
+:class:`TapeConsumedError`. Nodes keep their values and parents.
 
-All module-level math helpers (``exp``, ``cos_sin``, ``matmul``, ...) compute
-their value once, from plain values, and pass it to ``_node``, the one
-dispatch point: with no ``Tensor`` among the inputs it returns the plain
+All module-level math helpers (``exp``, ``matmul``, ``trig_features``, ...)
+compute their value once, from plain values, and pass it to ``_node``, the
+one dispatch point: with no ``Tensor`` among the inputs it returns the plain
 numpy value, otherwise a tape node over the inputs. This lets the model code
 be written once and executed either way, with bit-identical values.
 
@@ -21,8 +24,9 @@ the factor's triangular inverse (one LAPACK ``dtrtri``), which over many rows
 runs near GEMM speed. The Cholesky factorization itself is never
 differentiated through. None factors its matrix: the caller computes the
 factor once with ``chol_psd`` and passes it to every solve, quadratic form and
-log-determinant of that matrix. The trigonometric feature maps go through one
-more fused primitive, ``cos_sin``.
+log-determinant of that matrix. A whole trigonometric feature map, damped or
+not, is one more fused primitive, ``trig_features``, whose node holds only
+its N x 2M output.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ class FactorizationError(RuntimeError):
 
 class NonFiniteError(RuntimeError):
     """A non-finite value appeared in a named intermediate quantity."""
+
+
+class TapeConsumedError(RuntimeError):
+    """``backward()`` was called again on a tape whose VJPs it has already freed."""
 
 
 def _as_value(x):
@@ -120,10 +128,17 @@ class Tensor:
     # -- reverse pass -------------------------------------------------------
 
     def backward(self):
-        """Backpropagate from this (scalar) tensor, filling the leaves' ``.grad``."""
+        """Backpropagate from this (scalar) tensor, filling the leaves' ``.grad``.
+
+        One-shot: each node drops its VJPs, and with them the arrays they
+        captured, as soon as they have run. A second pass over the same tape
+        raises :class:`TapeConsumedError`.
+        """
         if self.value.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
+        if any(node.vjps is None for node in order):
+            raise TapeConsumedError("backward() already ran over this tape")
         grads = {id(self): np.ones_like(self.value)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
@@ -131,12 +146,14 @@ class Tensor:
                 continue
             if not node.parents:
                 node.grad = g
+                continue
             for parent, vjp in zip(node.parents, node.vjps):
                 if isinstance(parent, _Constant):
                     continue
                 pg = vjp(g)
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
+            node.vjps = None
 
 
 def _topo_order(root):
@@ -223,17 +240,71 @@ def log(a):
     return _node(np.log(av), (a,), (lambda g: g / av,))
 
 
-def cos_sin(a):
-    """``[cos(a), sin(a)]`` joined along the last axis, as one tape node.
+# -- trigonometric features -------------------------------------------------
 
-    The VJP reuses the forward cosines and sines instead of evaluating the
-    other function again.
+
+def trig_features(x, om, scale, var=None):
+    """``scale * [d * cos(x om^T), d * sin(x om^T)]`` as one tape node.
+
+    ``x`` is (D,) or (N, D), ``om`` the (M, D) frequencies and ``scale`` a
+    scalar. ``d = exp(-0.5 * var (om * om)^T)`` damps each frequency for a
+    Gaussian input of diagonal variance ``var`` (broadcast against ``x``);
+    ``var=None`` means d = 1. The projection, cosines, sines and damping are
+    freed on return, because every adjoint follows from the output
+    [out_c, out_s] alone: with cotangent [g_c, g_s],
+
+        proj-bar = out_c g_s - out_s g_c,    (log d)-bar = out_c g_c + out_s g_s,
+
+    and scale-bar = sum(g out) / scale.
     """
-    av = _as_value(a)
-    c, s = np.cos(av), np.sin(av)
-    m = av.shape[-1]
-    return _node(np.concatenate([c, s], axis=-1), (a,),
-                 (lambda g: c * g[..., m:] - s * g[..., :m],))
+    xv, omv, sv = _as_value(x), _as_value(om), _as_value(scale)
+    varv = None if var is None else _as_value(var)
+    m = omv.shape[0]
+    proj = xv @ omv.T
+    c, s = np.cos(proj), np.sin(proj)
+    del proj
+    if varv is not None:
+        damp = np.exp(-0.5 * (varv @ (omv * omv).T))
+        c *= damp
+        s *= damp
+        del damp
+    out = np.concatenate([c, s], axis=-1)
+    del c, s
+    out *= sv
+
+    def rows(a):
+        return a.reshape(-1, a.shape[-1])
+
+    def adjoints(g):
+        out_c, out_s, g_c, g_s = out[..., :m], out[..., m:], g[..., :m], g[..., m:]
+        d_proj = out_c * g_s
+        d_proj -= out_s * g_c
+        if varv is None:
+            return d_proj, None
+        d_logd = out_c * g_c
+        d_logd += out_s * g_s
+        return d_proj, _unbroadcast(d_logd, varv.shape[:-1] + (m,))
+
+    shared = _per_cotangent(adjoints)
+
+    def vjp_om(g):
+        d_proj, d_logd = shared(g)
+        grad = rows(d_proj).T @ rows(xv)
+        if varv is not None:
+            grad -= omv * (rows(d_logd).T @ rows(varv))
+        return grad
+
+    def vjp_scale(g):
+        if abs(sv) >= np.finfo(float).tiny:
+            return np.sum(g * out) / sv
+        # out has no significant bits left to divide by scale: rebuild it unscaled
+        return np.sum(g * trig_features(xv, omv, 1.0, varv))
+
+    vjps = (lambda g: shared(g)[0] @ omv, vjp_om, vjp_scale)
+    if varv is None:
+        return _node(out, (x, om, scale), vjps)
+    return _node(out, (x, om, scale, var),
+                 vjps + (lambda g: -0.5 * (shared(g)[1] @ (omv * omv)),))
 
 
 # -- structural ops ---------------------------------------------------------
@@ -273,19 +344,6 @@ def sum_(a):
     """Sum of all entries."""
     av = _as_value(a)
     return _node(np.sum(av), (a,), (lambda g: np.broadcast_to(g, av.shape).copy(),))
-
-
-def concatenate(parts, axis=0):
-    values = [_as_value(p) for p in parts]
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-
-    def make_vjp(i):
-        index = [slice(None)] * values[i].ndim
-        index[axis] = slice(offsets[i], offsets[i + 1])
-        return lambda g: g[tuple(index)]
-
-    return _node(np.concatenate(values, axis=axis), tuple(parts),
-                 tuple(make_vjp(i) for i in range(len(parts))))
 
 
 def take(a, idx):

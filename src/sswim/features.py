@@ -16,8 +16,9 @@ component is available in closed form: the deterministic feature at the mean,
 damped by exp(-0.5 * sum_d w_d^2 var_d). :func:`expected_feature_map`
 evaluates it and reduces bit-exactly to :func:`feature_map` when var = 0.
 
-All map evaluations dispatch through :mod:`sswim.autodiff`, so they accept
-either numpy arrays or tape tensors.
+Both maps are one call to :func:`sswim.autodiff.trig_features`, so they
+accept either numpy arrays or tape tensors, and a traced map is a single tape
+node that keeps only its output.
 """
 
 from __future__ import annotations
@@ -103,10 +104,7 @@ def frequencies(basis: SpectralBasis):
 def feature_map(basis: SpectralBasis, x):
     """Features of deterministic inputs; x is (D,) or (N, D)."""
     _check_dim(basis, x)
-    om = frequencies(basis)
-    proj = x @ ad.transpose(om)
-    scale = basis.amplitude / np.sqrt(basis.M)
-    return scale * ad.cos_sin(proj)
+    return ad.trig_features(x, frequencies(basis), basis.amplitude / np.sqrt(basis.M))
 
 
 def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
@@ -120,8 +118,5 @@ def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
     _check_dim(basis, gi.var, "var")
     if not isinstance(gi.var, ad.Tensor) and np.any(np.less(gi.var, 0)):
         raise ValueError("input variance must be nonnegative")
-    om = frequencies(basis)
-    proj = gi.mean @ ad.transpose(om)
-    damp = ad.exp(-0.5 * (gi.var @ ad.transpose(ad.multiply(om, om))))
-    scale = basis.amplitude / np.sqrt(basis.M)
-    return scale * (ad.concatenate([damp, damp], axis=-1) * ad.cos_sin(proj))
+    return ad.trig_features(gi.mean, frequencies(basis), basis.amplitude / np.sqrt(basis.M),
+                            gi.var)

@@ -5,6 +5,8 @@ differences of a scalarized output (random fixed projection), so the tests do
 not depend on any closed-form adjoint being re-derived here.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -57,15 +59,49 @@ def test_elementwise_unary_gradients():
         check_scalarized(lambda t, op=op: scalarize(op(t), proj), x)
 
 
-def test_cos_sin_gradient_and_value():
+def composed_trig_features(x, om, scale, var=None):
+    """The feature expression as separate numpy steps; the fused node must match it bit for bit."""
+    proj = x @ om.T
+    cs = np.concatenate([np.cos(proj), np.sin(proj)], axis=-1)
+    if var is None:
+        return scale * cs
+    damp = np.exp(-0.5 * (var @ (om * om).T))
+    return scale * (np.concatenate([damp, damp], axis=-1) * cs)
+
+
+@pytest.mark.parametrize("rows", [None, 5], ids=["point", "batch"])
+@pytest.mark.parametrize("damped", [False, True], ids=["plain", "damped"])
+def test_trig_features_value_and_gradients(rows, damped):
     rng = np.random.default_rng(1)
-    x = rng.uniform(-3.0, 3.0, size=(3, 4))
-    want = np.concatenate([np.cos(x), np.sin(x)], axis=-1)
-    assert np.array_equal(ad.cos_sin(x), want)
-    assert np.array_equal(ad.cos_sin(ad.Tensor(x)).value, want)
-    proj = rng.standard_normal((3, 8))
-    check_scalarized(lambda t: scalarize(ad.cos_sin(t), proj), x)
-    check_scalarized(lambda t: scalarize(ad.cos_sin(t), proj[0]), x[0])
+    shape = (3,) if rows is None else (rows, 3)
+    x, om = rng.uniform(-1.5, 1.5, shape), rng.standard_normal((4, 3))
+    scale = np.array(0.7)
+    var = rng.uniform(0.05, 0.8, shape) if damped else None
+    want = composed_trig_features(x, om, scale, var)
+    assert ad.trig_features(x, om, scale, var).tobytes() == want.tobytes()
+    traced = ad.trig_features(ad.Tensor(x), ad.Tensor(om), ad.Tensor(scale),
+                              None if var is None else ad.Tensor(var))
+    assert traced.value.tobytes() == want.tobytes()
+
+    proj = rng.standard_normal(want.shape)
+    args = {"x": x, "om": om, "scale": scale, "var": var}
+    for name in [k for k, v in args.items() if v is not None]:
+        def f(t, name=name):
+            return scalarize(ad.trig_features(**{**args, name: t}), proj)
+        check_scalarized(f, args[name])
+
+
+def test_trig_features_scale_gradient_survives_zero_scale():
+    # an amplitude that underflows to 0 zeroes the output, not the gradient
+    rng = np.random.default_rng(2)
+    x, om = rng.uniform(-1.5, 1.5, (5, 2)), rng.standard_normal((3, 2))
+    var, proj = rng.uniform(0.1, 0.5, (5, 2)), rng.standard_normal((5, 6))
+    for v in (None, var):
+        scale = ad.Tensor(np.array(0.0))
+        out = scalarize(ad.trig_features(x, om, scale, v), proj)
+        out.backward()
+        want = np.sum(proj * composed_trig_features(x, om, 1.0, v))
+        assert np.isfinite(scale.grad) and scale.grad == pytest.approx(want, rel=1e-12)
 
 
 def test_binary_op_gradients_both_arguments():
@@ -136,7 +172,8 @@ def dispatch_cases():
         "negative": (ad.negative, (x,)),
         "exp": (ad.exp, (x,)),
         "log": (ad.log, (x,)),
-        "cos_sin": (ad.cos_sin, (x,)),
+        "trig_features": (ad.trig_features, (x, y[:2], np.array(0.8))),
+        "trig_features damped": (ad.trig_features, (x, y[:2], np.array(0.8), 0.3 * y)),
         "matmul 2-D @ 2-D": (ad.matmul, (x, y.T)),
         "matmul 1-D @ 2-D": (ad.matmul, (x[0], y.T)),
         "matmul 2-D @ 1-D": (ad.matmul, (x, y[0])),
@@ -145,7 +182,6 @@ def dispatch_cases():
         "reshape": (lambda a: ad.reshape(a, (2, 6)), (x,)),
         "expand_last": (ad.expand_last, (x,)),
         "sum_": (ad.sum_, (x,)),
-        "concatenate": (lambda a, b: ad.concatenate([a, b], axis=1), (x, y)),
         "take": (lambda a: ad.take(a, np.array([2, 0, 2])), (x,)),
         "psd_solve": (lambda a, b: ad.psd_solve(a, L, b), (A, y.T)),
         "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, L, f), (A, x)),
@@ -203,19 +239,6 @@ def test_transpose_reshape_expand_last():
     check_scalarized(lambda t: scalarize(ad.reshape(t, (15,)), p2), x)
     check_scalarized(lambda t: scalarize(ad.expand_last(t), p3), x)
     assert ad.expand_last(x).shape == (3, 5, 1)
-
-
-def test_concatenate_gradients():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 2))
-    proj = rng.standard_normal((5, 2))
-    check_scalarized(lambda t: scalarize(ad.concatenate([t, b], axis=0), proj), a)
-    check_scalarized(lambda t: scalarize(ad.concatenate([a, t], axis=0), proj), b)
-    # axis=1, mixed tensor / plain operands
-    c = rng.standard_normal((2, 4))
-    proj2 = rng.standard_normal((2, 6))
-    check_scalarized(lambda t: scalarize(ad.concatenate([t, c], axis=1), proj2), a)
 
 
 def test_take_accumulates_repeated_indices():
@@ -279,6 +302,49 @@ def test_backward_keeps_gradients_only_on_leaves():
     out.backward()
     assert mid.grad is None and out.grad is None
     np.testing.assert_allclose(t.grad, np.exp(t.value) * (1.0 + t.value), rtol=1e-15)
+
+
+def test_backward_is_one_shot():
+    t = ad.Tensor(np.array([0.5, 2.0]))
+    mid = ad.exp(t)
+    out = ad.sum_(mid * t)
+    out.backward()
+    with pytest.raises(ad.TapeConsumedError, match="already ran"):
+        out.backward()
+    # a second output over the consumed part of the tape cannot backpropagate either
+    with pytest.raises(RuntimeError, match="already ran"):
+        ad.sum_(mid).backward()
+
+
+def closure_arrays(fn, found=None):
+    """Every ndarray a function's closure holds, following nested closures."""
+    found = {} if found is None else found
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            found[id(v)] = v
+        elif callable(v):
+            closure_arrays(v, found)
+    return found
+
+
+def test_backward_frees_what_the_vjps_captured():
+    rng = np.random.default_rng(31)
+    A = spd(rng, 4)
+    t = ad.Tensor(rng.standard_normal((6, 4)))
+    quad = ad.psd_quad_diag(A, ad.chol_psd(A), t)
+    out = ad.sum_(quad)
+    # V = L^-1 F^T and L^-1 live only in the VJPs' closures, not on the tape
+    on_tape = {id(n.value) for n in ad._topo_order(out)}
+    captured = [v for fn in quad.vjps for k, v in closure_arrays(fn).items()
+                if k not in on_tape]
+    assert captured
+    refs = [weakref.ref(v) for v in captured]
+    del captured
+    out.backward()
+    assert quad.vjps is None and out.vjps is None
+    assert all(r() is None for r in refs)
+    np.testing.assert_allclose(t.grad, 2.0 * np.linalg.solve(A, t.value.T).T, rtol=1e-12)
 
 
 def test_backward_requires_scalar():

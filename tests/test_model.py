@@ -7,6 +7,7 @@ against the module's value on small random instances.
 
 import base64
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,23 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
     path = save(model, tmp_path / "model.json")
     # the document keeps the top factor, so load refits only the warp Grams
     assert count(load, path)[0] == 2 * model.depth
+
+
+@pytest.mark.parametrize("depth, limit", [(1, 12), (2, 18)])
+def test_gradient_tape_memory_in_feature_arrays(depth, limit):
+    # the traced peak of one value_and_gradient, counted in N x 2M float64
+    # feature arrays: about 11 (depth 1) and 16 (depth 2) with fused feature
+    # nodes and a freeing backward, about 23 and 42 with neither
+    n, M = 4000, 32
+    x, y = toy_data(23, n=n, d=2)
+    model = build_model(x, n_layers=depth, M=M, n_pseudo=16, seed=5)
+    tracemalloc.start()
+    try:
+        value_and_gradient(model, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (n * 2 * M * 8) <= limit
 
 
 def test_one_row_sized_solve_per_predictive_variance(monkeypatch):
