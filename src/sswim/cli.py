@@ -150,7 +150,7 @@ def _run_repeat(dataset, cfg: RunConfig, child, with_trace=False):
                          (test_set.X, test_set.y) if with_trace else None)
     wall = time.perf_counter() - started
     mu, var = predict_f(model, test_set.X)
-    report = MetricReport(rmse(test_set.y, mu), mnlp(test_set.y, mu, var), len(test_set.y))
+    report = MetricReport(rmse(test_set.y, mu), mnlp(test_set.y, mu, var))
     return model, trace, report, wall
 
 

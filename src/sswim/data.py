@@ -44,7 +44,7 @@ class Preprocessing:
 
 @dataclass
 class Scaler:
-    """Column statistics of a training split, for transforms both ways."""
+    """Column statistics of a training split, applied to any split."""
 
     x_mean: np.ndarray
     x_std: np.ndarray
@@ -56,9 +56,6 @@ class Scaler:
 
     def transform_y(self, y):
         return (np.asarray(y, dtype=float) - self.y_mean) / self.y_std
-
-    def inverse_transform_y(self, y):
-        return np.asarray(y, dtype=float) * self.y_std + self.y_mean
 
     def apply(self, dataset: Dataset) -> Dataset:
         return Dataset(self.transform_x(dataset.X), self.transform_y(dataset.y),

@@ -15,7 +15,6 @@ REPORT_COLUMNS = ("dataset", "method", "depth", "M", "n_pseudo",
 class MetricReport:
     rmse: float
     mnlp: float
-    n_test: int
 
 
 def rmse(y_true, mu) -> float:

@@ -9,22 +9,24 @@ hyperparameter and every pseudo-training pair.
 
 Canonical trainable state is a flat parameter vector ``model.theta`` with a
 fixed segment schema; positive quantities live in it as logarithms. The
-materialized stack, bases, and fitted posteriors are derived caches.
-``build_model`` and ``load`` materialize them from theta once;
-``apply_parameters`` only installs a new theta and drops the top posterior,
-so the caches go stale until the next ``objective`` or
-``value_and_gradient`` refreshes them, and ``predict_f`` refuses until
-then. One assembly routine serves both modes: handed the theta array it
-produces a plain numpy model, handed a tape tensor it produces a traced
-one, so the gradient differentiates exactly the arithmetic the plain
-objective runs. Every Gram is factored exactly once per assembly.
+stack, bases, and fitted posteriors are derived from it: ``build_model``
+and ``load`` materialize them once, and ``objective`` and
+``value_and_gradient`` refit them. An evaluation rebinds a model's fields
+and never mutates the objects in them (``_install`` and
+``apply_parameters`` only assign, and ``refit`` mutates only layers that
+``_assemble`` has just built), so a candidate theta is evaluated on a
+shallow copy, ``apply_parameters(replace(model), theta)``, and no model is
+ever reverted. One assembly routine serves both modes: handed the theta
+array it produces a plain numpy model, handed a tape tensor a traced one,
+so the gradient differentiates exactly the arithmetic the plain objective
+runs. Every Gram is factored exactly once per assembly.
 
 ``save`` writes a version-2 JSON document: readable header scalars and
 schema, and every float array (theta, frequency draws, the top posterior's
 weights, projections and Cholesky factor) as base64 of its little-endian
 float64 bytes, so a round trip is exact and ``load`` refits only the warp
-layers. ``load`` also reads version-1 documents (nested lists, with the top
-Gram instead of its factor) and names the field of any malformed entry.
+layers. ``load`` reads version 2 only and names the field of any malformed
+entry.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .warping import WarpInit, WarpLayer, draw_warp_layer, refit
 
 Segment = namedtuple("Segment", ("name", "start", "stop", "shape", "log"))
 
-SCHEMA_VERSION = 2  # of the saved document; load also reads version 1
+SCHEMA_VERSION = 2  # of the saved document, the only one load reads
 
 
 @dataclass
@@ -196,7 +198,7 @@ def _assemble(model: SswimModel, theta):
 
 def _materialize(model: SswimModel) -> SswimModel:
     """Build the stack and top pieces (not the top posterior) from theta."""
-    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
+    model.stack, model.top_basis, model.top_noise_var = _detach(_assemble(model, model.theta))
     return model
 
 
@@ -219,7 +221,10 @@ def _detach(x):
     if isinstance(x, (list, tuple)):
         return type(x)(_detach(v) for v in x)
     if is_dataclass(x):
-        return replace(x, **{f.name: _detach(getattr(x, f.name)) for f in fields(x)})
+        values = {f.name: _detach(getattr(x, f.name)) for f in fields(x)}
+        if isinstance(x, ssgp.SsgpPosterior):
+            values["gram"] = None  # only a tape differentiates the Gram
+        return replace(x, **values)
     return x
 
 
@@ -258,25 +263,21 @@ def value_and_gradient(model: SswimModel, x, y):
 def fd_gradient(model: SswimModel, x, y, rel_step=1e-5):
     """Central-difference gradient over the packed parameters (slow path).
 
-    The step for coordinate i is rel_step * max(1, |theta_i|). Restores the
-    model's parameters and caches before returning. Public as the oracle
-    that :func:`value_and_gradient` is tested against.
+    The step for coordinate i is rel_step * max(1, |theta_i|). Each probe is
+    evaluated on a shallow copy, so the model is left untouched. Public as
+    the oracle that :func:`value_and_gradient` is tested against.
     """
-    base = model.theta.copy()
+    base = model.theta
     grad = np.empty_like(base)
     probe = base.copy()
     for i in range(base.size):
         h = rel_step * max(1.0, abs(base[i]))
         probe[i] = base[i] + h
-        apply_parameters(model, probe)
-        f_up = objective(model, x, y)
+        f_up = objective(apply_parameters(replace(model), probe), x, y)
         probe[i] = base[i] - h
-        apply_parameters(model, probe)
-        f_dn = objective(model, x, y)
+        f_dn = objective(apply_parameters(replace(model), probe), x, y)
         probe[i] = base[i]
         grad[i] = (f_up - f_dn) / (2.0 * h)
-    apply_parameters(model, base)
-    objective(model, x, y)
     return grad
 
 
@@ -315,14 +316,6 @@ def _unblob(value, field):
         raise ValueError(f"{field} holds {len(raw)} bytes, shape {tuple(shape)} "
                          f"needs {8 * math.prod(shape)}")
     return np.frombuffer(raw, dtype=_F8).reshape(shape).astype(float)
-
-
-def _unlist(value, field):
-    """A version-1 array: nested JSON lists."""
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} is not a numeric array") from None
 
 
 def _required(part, key, prefix=""):
@@ -400,14 +393,13 @@ def save(model: SswimModel, path):
 def load(path) -> SswimModel:
     """Rebuild a model saved by :func:`save`; predictions round-trip exactly.
 
-    Reads version 2 and the older version 1 (nested lists, with the top
-    posterior's Gram, which is factored here). Every field is checked before
-    anything is fitted: a missing key, a blob whose bytes do not fill its
-    shape, an array whose shape disagrees with the header, or a non-finite
-    value raises ``ValueError`` naming the field, as does a theta whose warp
-    layers cannot be fitted or whose top-level frequencies, amplitude or
-    noise variance overflow. Only the warp Grams are factored; the top
-    posterior keeps the stored factor and no Gram.
+    Reads version 2 only; any other document raises ``ValueError``. Every
+    field is checked before anything is fitted: a missing key, a blob whose
+    bytes do not fill its shape, an array whose shape disagrees with the
+    header, or a non-finite value raises ``ValueError`` naming the field, as
+    does a theta whose warp layers cannot be fitted or whose top-level
+    frequencies, amplitude or noise variance overflow. Only the warp Grams
+    are factored; the top posterior keeps the stored factor and no Gram.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -415,18 +407,18 @@ def load(path) -> SswimModel:
         except json.JSONDecodeError as e:
             raise ValueError(f"{path} is not a JSON document: {e}") from None
     if not (isinstance(doc, dict) and doc.get("format") == "sswim-model"
-            and doc.get("version") in (1, SCHEMA_VERSION)):
-        raise ValueError(f"{path} is not a version-1 or version-{SCHEMA_VERSION} model document")
+            and doc.get("version") == SCHEMA_VERSION):
+        raise ValueError(f"{path} is not a version-{SCHEMA_VERSION} model document")
     try:
-        return _from_document(doc, doc["version"])
+        return _from_document(doc)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _array(part, key, shape, version, prefix=""):
+def _array(part, key, shape, prefix=""):
     """A checked float array field; ``shape=None`` leaves the shape to the caller."""
     field = prefix + key
-    a = (_unblob if version == 2 else _unlist)(_required(part, key, prefix), field)
+    a = _unblob(_required(part, key, prefix), field)
     if shape is not None and a.shape != shape:
         raise ValueError(f"{field} has shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):
@@ -434,7 +426,7 @@ def _array(part, key, shape, version, prefix=""):
     return a
 
 
-def _from_document(doc, version) -> SswimModel:
+def _from_document(doc) -> SswimModel:
     family = _required(doc, "family")
     if family not in FAMILIES:
         raise ValueError(f"family is {family!r}, expected one of {FAMILIES}")
@@ -446,12 +438,12 @@ def _from_document(doc, version) -> SswimModel:
     schema, size = _build_schema(d, n_layers, n_pseudo)
     if _required(doc, "schema") != _schema_rows(schema):
         raise ValueError("schema does not match input_dim, n_layers and n_pseudo")
-    theta = _array(doc, "theta", (size,), version)
+    theta = _array(doc, "theta", (size,))
     draws = _required(doc, "base_draws")
 
     def basis(key, n_freq):
         return SpectralBasis(family, n_freq, d,
-                             _array(draws, key, (n_freq, d), version, "base_draws."),
+                             _array(draws, key, (n_freq, d), "base_draws."),
                              np.ones(d), 1.0)
 
     top_basis = basis("top", m)
@@ -460,7 +452,7 @@ def _from_document(doc, version) -> SswimModel:
                         blank, blank, blank, blank, 1.0, 1.0) for j in range(n_layers)]
     post = _required(doc, "top_posterior")
     if post is not None:
-        post = _top_posterior(post, 2 * m, version)
+        post = _top_posterior(post, 2 * m)
     model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
                        n_pseudo, sigma_gamma, seed)
     try:
@@ -477,23 +469,17 @@ def _from_document(doc, version) -> SswimModel:
     return model
 
 
-def _top_posterior(part, n_feat, version) -> ssgp.SsgpPosterior:
+def _top_posterior(part, n_feat) -> ssgp.SsgpPosterior:
     """The checked top posterior, with no Gram."""
     prefix = "top_posterior."
-    alpha = _array(part, "alpha", None, version, prefix)
+    alpha = _array(part, "alpha", None, prefix)
     if alpha.ndim not in (1, 2) or alpha.shape[0] != n_feat:
         raise ValueError(f"{prefix}alpha has shape {alpha.shape}, "
                          f"expected ({n_feat},) or ({n_feat}, P)")
-    proj_y = _array(part, "proj_y", alpha.shape, version, prefix)
-    if version == 1:  # version 1 stores the Gram; factor it once here
-        try:
-            factor = ad.chol_psd(_array(part, "gram", (n_feat, n_feat), version, prefix))
-        except ad.FactorizationError as e:
-            raise ValueError(f"{prefix}gram is not positive definite: {e}") from None
-    else:
-        factor = _array(part, "factor", (n_feat, n_feat), version, prefix)
-        if np.any(np.triu(factor, 1)) or not np.all(np.diag(factor) > 0):
-            raise ValueError(f"{prefix}factor is not a lower Cholesky factor")
+    proj_y = _array(part, "proj_y", alpha.shape, prefix)
+    factor = _array(part, "factor", (n_feat, n_feat), prefix)
+    if np.any(np.triu(factor, 1)) or not np.all(np.diag(factor) > 0):
+        raise ValueError(f"{prefix}factor is not a lower Cholesky factor")
     return ssgp.SsgpPosterior(
         alpha=alpha, A_factor=factor,
         noise_var=_number(part, "noise_var", prefix, positive=True), gram=None,

@@ -44,8 +44,8 @@ class SsgpPosterior:
     A_factor: np.ndarray  # (2M, 2M) lower Cholesky factor of the Gram, the only one
     noise_var: object  # observation noise variance
     # (2M, 2M) the Gram A itself, the tape node traced solves differentiate; None
-    # after model.load, whose document keeps only the factor that the plain
-    # predict and posterior_nlml read
+    # in every posterior a model holds, since the plain predict and
+    # posterior_nlml read only the factor
     gram: object
     n_data: int
     sq_norm_y: object  # sum of squared targets

@@ -8,22 +8,24 @@ with the lowest objective seen are checkpointed, and that checkpoint is what
 the caller gets back: the evidence is known to keep improving while test
 error degrades on long runs, and a late step can overshoot.
 
-A non-finite objective or gradient, or a failed factorization, rejects the
-step: the parameters and the Adam moments stay at the last accepted step and
-the learning rate halves; five consecutive rejections abandon the run with
-``diverged`` set on the trace.
+Each candidate is evaluated on a shallow copy of the model (see
+:mod:`sswim.model`), and only an accepted one is adopted, so no step is ever
+undone by another forward pass. A non-finite objective or gradient, or a
+failed factorization, rejects the step: the copy is dropped, the Adam
+moments stay at the last accepted step and the learning rate halves; five
+consecutive rejections abandon the run with ``diverged`` set on the trace.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .metrics import mnlp, rmse
-from .model import SswimModel, apply_parameters, objective, predict_f, value_and_gradient
+from .model import SswimModel, apply_parameters, predict_f, value_and_gradient
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MAX_CONSECUTIVE_REVERTS = 5
@@ -51,7 +53,8 @@ class TrainTrace:
 def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
     """Optimize the model in place; returns ``(model, trace)``.
 
-    The model is left at the lowest-objective checkpoint, caches coherent.
+    Candidates are evaluated on copies; the model is left at the
+    lowest-objective checkpoint, with the fitted state of that evaluation.
     ``test_data`` is an optional ``(x_test, y_test)`` pair; when given, the
     trace carries test RMSE and MNLP for every recorded objective, enabling
     per-step overfitting analysis.
@@ -75,13 +78,12 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
             trace.test_rmse.append(rmse(y_test, mu))
             trace.test_mnlp.append(mnlp(y_test, mu, var))
 
-    theta = model.theta.copy()
     value, grad = value_and_gradient(model, x, y)
     record_point(value)
-    best_value, best_theta, best_step = value, theta, 0
+    best_value, best, best_step = value, replace(model), 0
 
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m = np.zeros_like(model.theta)
+    v = np.zeros_like(model.theta)
     lr = config.learning_rate
     t = 0
     consecutive = 0
@@ -90,17 +92,15 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         v_next = BETA2 * v + (1.0 - BETA2) * grad * grad
         m_hat = m_next / (1.0 - BETA1 ** (t + 1))
         v_hat = v_next / (1.0 - BETA2 ** (t + 1))
-        candidate = theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        candidate = model.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         try:
-            apply_parameters(model, candidate)
-            new_value, new_grad = value_and_gradient(model, x, y)
+            trial = apply_parameters(replace(model), candidate)
+            new_value, new_grad = value_and_gradient(trial, x, y)
             ad.check_finite(new_grad, "gradient")
         except (ad.NonFiniteError, ad.FactorizationError):
             lr *= 0.5
             consecutive += 1
-            apply_parameters(model, theta)
-            objective(model, x, y)  # restore coherent caches at the reverted point
-            record_point(value)
+            record_point(value)  # the model is still at the last accepted step
             if consecutive >= MAX_CONSECUTIVE_REVERTS:
                 trace.diverged = True
                 warnings.warn("training stopped early: "
@@ -109,14 +109,13 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
             continue
         consecutive = 0
         m, v, t = m_next, v_next, t + 1
-        theta, value, grad = candidate, new_value, new_grad
+        vars(model).update(vars(trial))
+        value, grad = new_value, new_grad
         record_point(value)
         if value < best_value:
-            best_value, best_theta, best_step = value, theta, step
+            best_value, best, best_step = value, replace(model), step
 
     trace.best_step, trace.best_objective = best_step, best_value
     trace.final_learning_rate = lr
-    if not np.array_equal(model.theta, best_theta):
-        apply_parameters(model, best_theta)
-        objective(model, x, y)
+    vars(model).update(vars(best))
     return model, trace

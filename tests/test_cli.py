@@ -6,7 +6,6 @@ import csv
 import json
 import re
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,57 +235,59 @@ def truncate(part, key):
     part[key]["<f8"] = base64.b64encode(raw[:-8]).decode("ascii")
 
 
-# (version of the document, edit, field the error must name)
+def set_entry(part, key, i, value):
+    a = np.frombuffer(base64.b64decode(part[key]["<f8"]), dtype="<f8").copy()
+    a[i] = value
+    part[key] = blob(a.reshape(part[key]["shape"]))
+
+
+# edit of a saved version-2 document, and the field the error must name
 MALFORMED = {
-    "missing theta": (2, lambda d: drop(d, "theta"), "missing field theta"),
-    "short base_draws": (2, lambda d: d["base_draws"].update({"layer0.g": blob(np.ones((2, 1)))}),
+    "missing theta": (lambda d: drop(d, "theta"), "missing field theta"),
+    "short base_draws": (lambda d: d["base_draws"].update({"layer0.g": blob(np.ones((2, 1)))}),
                          "base_draws.layer0.g has shape (2, 1), expected (3, 1)"),
-    "truncated alpha bytes": (2, lambda d: truncate(d["top_posterior"], "alpha"),
+    "truncated alpha bytes": (lambda d: truncate(d["top_posterior"], "alpha"),
                               "top_posterior.alpha holds 56 bytes"),
-    "wide proj_y": (2, lambda d: d["top_posterior"].update({"proj_y": blob(np.ones((8, 2)))}),
+    "short alpha": (lambda d: d["top_posterior"].update({"alpha": blob([0.5, 0.5])}),
+                    "top_posterior.alpha has shape (2,)"),
+    "wide proj_y": (lambda d: d["top_posterior"].update({"proj_y": blob(np.ones((8, 2)))}),
                     "top_posterior.proj_y has shape (8, 2)"),
     "square factor of the wrong size": (
-        2, lambda d: d["top_posterior"].update({"factor": blob(np.eye(2))}),
+        lambda d: d["top_posterior"].update({"factor": blob(np.eye(2))}),
         "top_posterior.factor has shape (2, 2), expected (8, 8)"),
     "upper-triangular factor": (
-        2, lambda d: d["top_posterior"].update({"factor": blob(np.ones((8, 8)))}),
+        lambda d: d["top_posterior"].update({"factor": blob(np.ones((8, 8)))}),
         "top_posterior.factor is not a lower Cholesky factor"),
-    "non-finite theta": (2, lambda d: d.update({"theta": blob(np.full(21, np.nan))}),
+    "non-finite theta": (lambda d: d.update({"theta": blob(np.full(21, np.nan))}),
                          "theta has non-finite values"),
-    "missing noise variance": (2, lambda d: drop(d["top_posterior"], "noise_var"),
-                               "missing field top_posterior.noise_var"),
-    "depth out of range": (2, lambda d: d.update({"n_layers": 7}), "n_layers is 7"),
-    "input_dim past uint64": (2, lambda d: d.update({"input_dim": 2**64}),
-                              "schema does not match input_dim"),
-    "n_pseudo past uint64": (2, lambda d: d.update({"n_pseudo": 2**64}),
-                            "schema does not match input_dim, n_layers and n_pseudo"),
-    "version-1 2x2 gram": (1, lambda d: d["top_posterior"].update({"gram": np.eye(2).tolist()}),
-                           "top_posterior.gram has shape (2, 2), expected (8, 8)"),
-    "version-1 short alpha": (1, lambda d: d["top_posterior"].update({"alpha": [0.5, 0.5]}),
-                              "top_posterior.alpha has shape (2,)"),
-    "version-1 unfittable warp amplitude": (1, lambda d: d["theta"].__setitem__(4, 1e308),
-                                            "theta does not give a fittable model: warp layer 0"),
-    "version-1 overflowing top amplitude": (
-        1, lambda d: d["theta"].__setitem__(1, 1e308),
+    "unfittable warp amplitude": (lambda d: set_entry(d, "theta", 4, 1e308),
+                                  "theta does not give a fittable model: warp layer 0"),
+    "overflowing top amplitude": (
+        lambda d: set_entry(d, "theta", 1, 1e308),
         "theta does not give a fittable model: non-finite values in the top level's amplitude"),
-    "version-1 ragged base_draws": (1, lambda d: d["base_draws"].update({"top": [[1.0], []]}),
-                                    "base_draws.top is not a numeric array"),
+    "missing noise variance": (lambda d: drop(d["top_posterior"], "noise_var"),
+                               "missing field top_posterior.noise_var"),
+    "depth out of range": (lambda d: d.update({"n_layers": 7}), "n_layers is 7"),
+    "input_dim past uint64": (lambda d: d.update({"input_dim": 2**64}),
+                              "schema does not match input_dim"),
+    "n_pseudo past uint64": (lambda d: d.update({"n_pseudo": 2**64}),
+                            "schema does not match input_dim, n_layers and n_pseudo"),
+    "version-1 document": (lambda d: d.update({"version": 1}),
+                           "is not a version-2 model document"),
 }
 
 
 @pytest.fixture(scope="module")
-def model_documents(tmp_path_factory):
-    path = trained_model_path(tmp_path_factory.mktemp("trained"), depth=1)
-    v1 = Path(__file__).parent / "data" / "model_v1.json"
-    return {2: path.read_text(), 1: v1.read_text()}
+def model_document(tmp_path_factory):
+    return trained_model_path(tmp_path_factory.mktemp("trained"), depth=1).read_text()
 
 
 # the theta[.] = 1e308 cases overflow in exp; load rejects them without a warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_export_warp_names_malformed_model_field(case, model_documents, tmp_path, capsys):
-    version, edit, message = MALFORMED[case]
-    doc = json.loads(model_documents[version])
+def test_export_warp_names_malformed_model_field(case, model_document, tmp_path, capsys):
+    edit, message = MALFORMED[case]
+    doc = json.loads(model_document)
     edit(doc)
     path = tmp_path / "bad.model.json"
     path.write_text(json.dumps(doc))

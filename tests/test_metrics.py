@@ -11,7 +11,7 @@ from sswim.metrics import (REPORT_COLUMNS, MetricReport, aggregate, mnlp, report
 
 
 def evaluate(y_true, mu, sigma2):
-    return MetricReport(rmse(y_true, mu), mnlp(y_true, mu, sigma2), len(y_true))
+    return MetricReport(rmse(y_true, mu), mnlp(y_true, mu, sigma2))
 
 
 def test_rmse_hand_cases():
@@ -68,15 +68,14 @@ def test_evaluate_and_aggregate():
     report = evaluate([0.0, 2.0], [0.0, 0.0], [1.0, 1.0])
     assert isinstance(report, MetricReport)
     assert report.rmse == pytest.approx(np.sqrt(2.0))
-    assert report.n_test == 2
 
-    reports = [MetricReport(1.0, 0.5, 10), MetricReport(3.0, 1.5, 10)]
+    reports = [MetricReport(1.0, 0.5), MetricReport(3.0, 1.5)]
     agg = aggregate(reports)
     assert agg["rmse_mean"] == 2.0
     assert agg["rmse_std"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
     assert agg["mnlp_mean"] == 1.0
     assert agg["repeats"] == 2
-    single = aggregate([MetricReport(1.0, 0.5, 10)])
+    single = aggregate([MetricReport(1.0, 0.5)])
     assert single["rmse_std"] == 0.0
     with pytest.raises(ValueError):
         aggregate([])

@@ -8,7 +8,7 @@ against the module's value on small random instances.
 import base64
 import json
 import tracemalloc
-from pathlib import Path
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from sswim import ssgp
 from sswim.features import SpectralBasis, feature_map
 from sswim.model import (apply_parameters, build_model, fd_gradient, load, objective,
                          predict_f, save, value_and_gradient)
+from sswim.train import TrainConfig, train
 
 
 def toy_data(seed, n=15, d=1):
@@ -229,12 +230,40 @@ def test_gradient_mode_value_agreement():
     assert np.all(np.isfinite(grad))
 
 
-def test_fd_gradient_restores_parameters():
+def test_fd_gradient_leaves_the_model_untouched(forward_passes):
     x, y = toy_data(16, n=10)
     model = build_model(x, n_layers=1, M=4, M_w=3, n_pseudo=3, seed=8)
-    before = model.theta.copy()
+    objective(model, x, y)
+    before = {f.name: getattr(model, f.name) for f in fields(model)}
+    theta = model.theta.copy()
+    forward_passes.clear()
     fd_gradient(model, x, y, rel_step=1e-5)
-    np.testing.assert_array_equal(model.theta, before)
+    # two probes per coordinate and no other pass
+    assert len(forward_passes) == 2 * model.theta.size
+    assert all(getattr(model, name) is value for name, value in before.items())
+    np.testing.assert_array_equal(model.theta, theta)
+
+
+def posteriors(x):
+    """Every posterior in a tree of dataclasses, lists and tuples."""
+    if isinstance(x, ssgp.SsgpPosterior):
+        return [x]
+    if isinstance(x, (list, tuple)):
+        return [p for v in x for p in posteriors(v)]
+    if is_dataclass(x):
+        return [p for f in fields(x) for p in posteriors(getattr(x, f.name))]
+    return []
+
+
+def test_evaluations_leave_no_gram_on_the_model():
+    x, y = toy_data(17, n=12)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=3, seed=10)
+    for evaluate in (objective, value_and_gradient,
+                     lambda m, x, y: train(m, x, y, TrainConfig(steps=2))):
+        evaluate(model, x, y)
+        found = posteriors(model)
+        assert len(found) == 1 + 2 * model.depth
+        assert all(p.gram is None for p in found)
 
 
 def test_gradient_stationary_in_preoptimized_noise_coordinate():
@@ -486,30 +515,12 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, depth, d, rows, M, M
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_load_reads_version_1_documents():
-    # model_v1.json was written by the version-1 save (nested lists, the top
-    # Gram instead of its factor): build_model(x, n_layers=1, M=4, M_w=4,
-    # n_pseudo=3, seed=18) on 15 rows of x ~ U(-1, 1), y = sin(x) + noise,
-    # after one objective. The predictions file held that in-memory model's
-    # predict_f output at 7 points; it now holds the loaded document's,
-    # regenerated when the predictive variance moved from triangular solves
-    # to the triangular inverse, after the new values were shown within 1e-15
-    # relative of the old (the means were unchanged, two variances moved by
-    # 8.3e-17, 3.7e-16 relative)
-    data = Path(__file__).parent / "data"
-    want = json.loads((data / "model_v1_predictions.json").read_text())
-    model = load(data / "model_v1.json")
-    assert model.depth == 1 and model.top_basis.M == 4 and model.n_pseudo == 3
-    mean, var = predict_f(model, np.array(want["x"])[:, None])
-    np.testing.assert_array_equal(mean, want["mean"])
-    np.testing.assert_array_equal(var, want["var"])
-
-
 def test_load_rejects_unknown_version(tmp_path):
     x, _ = toy_data(28, n=10)
     path = save(build_model(x, n_layers=0, M=4, seed=21), tmp_path / "model.json")
     doc = json.loads(path.read_text())
-    doc["version"] = 3
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="model document"):
-        load(path)
+    for version in (1, 3):  # the old nested-list format and a future one
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="is not a version-2 model document"):
+            load(path)

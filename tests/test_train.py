@@ -1,11 +1,14 @@
 """Optimization loop: traces, best-checkpoint return, divergence handling."""
 
+import hashlib
 import importlib
 import warnings
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+import sswim.autodiff as ad
 from sswim.data import Dataset, split, standardize
 from sswim.metrics import rmse
 from sswim.model import apply_parameters, build_model, objective, predict_f
@@ -110,7 +113,7 @@ def test_stationary_recovery_of_smooth_signal():
     assert rmse(yt, mu) <= 2 * 0.05
 
 
-def test_divergence_reverts_and_halves_learning_rate():
+def test_divergence_reverts_and_halves_learning_rate(forward_passes):
     x, y = sine_data(11, n=30)
     model = small_model(x, seed=9)
     with warnings.catch_warnings():
@@ -122,8 +125,54 @@ def test_divergence_reverts_and_halves_learning_rate():
     assert len(set(trace.objectives)) == 1  # every revert re-records the same point
     assert trace.final_learning_rate == 1e6 / 2 ** MAX_CONSECUTIVE_REVERTS
     assert trace.best_step == 0
-    # the model is back at (the best seen) initial parameters and still usable
+    # the initial evaluation and one per rejected trial
+    assert len(forward_passes) == 1 + MAX_CONSECUTIVE_REVERTS
+    # the model is still at (the best seen) initial parameters and usable
     assert objective(model, x, y) == trace.objectives[0]
+
+
+def test_ending_on_an_earlier_best_step_costs_no_forward_pass(forward_passes):
+    x, y = sine_data(4, n=30)
+    model, trace = train(small_model(x, seed=4), x, y, TrainConfig(steps=4, learning_rate=0.05))
+    assert trace.best_step < 4 and trace.final_learning_rate == 0.05  # no step rejected
+    assert len(forward_passes) == 1 + 4
+    assert objective(model, x, y) == trace.best_objective
+
+
+def array_digest(x, h=None):
+    """SHA-256 over the bytes of every array in a tree of dataclasses, lists and tuples."""
+    h = hashlib.sha256() if h is None else h
+    if isinstance(x, np.ndarray):
+        h.update(x.tobytes())
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            array_digest(v, h)
+    elif is_dataclass(x):
+        for f in fields(x):
+            array_digest(getattr(x, f.name), h)
+    return h.hexdigest()
+
+
+def test_trials_never_change_an_accepted_state(monkeypatch, forward_passes):
+    # step 1 is rejected after its evaluation and step 2 is accepted; every
+    # accepted state keeps its arrays, and the model ends on the best one's
+    x, y = sine_data(14, n=30)
+    accepted, evaluate = [], train_module.value_and_gradient
+
+    def reject_step_1(model, x, y):
+        out = evaluate(model, x, y)
+        if len(forward_passes) == 2:
+            raise ad.NonFiniteError("injected")
+        accepted.append((replace(model), array_digest(model)))
+        return out
+
+    monkeypatch.setattr(train_module, "value_and_gradient", reject_step_1)
+    model, trace = train(small_model(x, seed=12), x, y, TrainConfig(steps=2))
+    assert trace.objectives[1] == trace.objectives[0] and trace.final_learning_rate == 0.005
+    assert len(forward_passes) == 3 and len(accepted) == 2
+    assert all(array_digest(state) == digest for state, digest in accepted)
+    best = accepted[trace.best_step // 2][0]  # the state of step 0 or step 2
+    assert all(getattr(model, f.name) is getattr(best, f.name) for f in fields(model))
 
 
 def test_final_learning_rate_reported():
