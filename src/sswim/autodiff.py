@@ -387,8 +387,12 @@ def chol_psd(A):
 
 
 def chol_solve(L, B):
-    """Solve A x = B given the lower Cholesky factor L of A."""
-    return cho_solve((L, True), B)
+    """Solve A x = B given the lower Cholesky factor L of A.
+
+    No finite check: L comes from a checked factorization, and a non-finite
+    cotangent B must reach the gradient check as NaN, not stop the pass.
+    """
+    return cho_solve((L, True), B, check_finite=False)
 
 
 def _per_cotangent(fn):

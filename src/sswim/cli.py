@@ -26,10 +26,10 @@ import numpy as np
 from . import autodiff as ad
 from .data import load_from_manifest, read_key_value_file, split, standardize
 from .metrics import MetricReport, aggregate, mnlp, report_row, rmse, write_report
-from .model import build_model, load, predict_f, save
+from .model import _predict_chunks, build_model, load, predict_f, save
 from .synthetic import KINDS, SyntheticSpec, gen, write_csv
 from .train import TrainConfig, train
-from .warp_stack import MAX_DEPTH, propagate
+from .warp_stack import MAX_DEPTH
 
 OUTPUT_DIR_ENV = "SSWIM_OUTPUT_DIR"
 
@@ -281,15 +281,15 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
         raise ConfigError(f"{path} holds no fitted posterior; train before exporting")
     d = model.input_dim
     grid = _parse_grid_spec(grid_spec, d)
-    gi = propagate(model.stack, grid)
-    mu, var = predict_f(model, grid)
+    predicted = np.vstack([np.column_stack([gi.mean, gi.var, mu, var])
+                           for gi, mu, var in _predict_chunks(model, grid)])
 
     stem = path.name.removesuffix(".json").removesuffix(".model")
     coord_cols = [f"x{i + 1}" for i in range(d)]
     grid_cols = (coord_cols + [f"warp_mean_{i + 1}" for i in range(d)]
                  + [f"warp_var_{i + 1}" for i in range(d)] + ["pred_mean", "pred_var"])
     grid_rows = [dict(zip(grid_cols, map(float, row)))
-                 for row in np.column_stack([grid, gi.mean, gi.var, mu, var])]
+                 for row in np.column_stack([grid, predicted])]
     grid_path = write_report(out / f"{stem}_warp_grid.csv", grid_rows, grid_cols)
 
     pseudo_cols = (["layer", "role", "index"] + coord_cols

@@ -418,6 +418,21 @@ def test_psd_solve_adjoints_share_one_solve(monkeypatch):
     np.testing.assert_allclose(B.grad, np.linalg.solve(A.value, np.ones((4, 2))), rtol=1e-12)
 
 
+def test_psd_solve_backward_passes_a_non_finite_cotangent_on():
+    # a NaN cotangent must come out as a NaN gradient, which the caller's
+    # finite check rejects, not as an error from inside the backward pass
+    rng = np.random.default_rng(19)
+    A, B = ad.Tensor(spd(rng, 4)), ad.Tensor(rng.standard_normal((4, 2)))
+    weights = np.ones((4, 2))
+    weights[1, 0] = np.nan
+    out = ad.sum_(ad.multiply(ad.psd_solve(A, ad.chol_psd(A), B), weights))
+    with np.errstate(invalid="ignore"):
+        out.backward()
+    assert np.isnan(A.grad).any() and np.isnan(B.grad).any()
+    with pytest.raises(ad.NonFiniteError, match="gradient"):
+        ad.check_finite(B.grad, "gradient")
+
+
 def test_psd_quad_diag_matches_dense():
     rng = np.random.default_rng(18)
     for rows, n in ((7, 5), (400, 6)):  # a short batch and a tall one, rows >> n

@@ -5,14 +5,16 @@ import base64
 import csv
 import json
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import sswim.warp_stack as warp_stack
 from sswim.cli import _COERCERS, RunConfig, _build_parser, main
 from sswim.data import load_csv
-from sswim.model import load
+from sswim.model import PREDICT_CHUNK_ROWS, load, predict_f
 
 FAST = ["--synthetic", "steps_chirp_1d", "--n", "40", "--noise-std", "0.05",
         "--M", "4", "--M-w", "3", "--n-pseudo", "3", "--steps", "2",
@@ -170,6 +172,23 @@ def test_overfit_trace_single_step_boundary(tmp_path):
     assert len(rows) == 1 and rows[0]["step"] == "1"
 
 
+def test_overfit_trace_rejects_a_step_whose_gradient_is_not_finite(tmp_path):
+    # at this learning rate some candidates have a finite objective whose
+    # backward pass goes NaN; train rejects them and halves the rate
+    args = ["overfit-trace", "--synthetic", "steps_chirp_1d", "--n", "120",
+            "--noise-std", "0.05", "--M", "16", "--M-w", "8", "--n-pseudo", "8",
+            "--seed", "3", "--depth", "2", "--steps", "8", "--repeats", "2",
+            "--learning-rate", "100", "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN adjoints
+        assert main(args) == 0
+    rows = read_rows(tmp_path / "steps_chirp_1d_overfit_trace.csv")
+    assert len(rows) == 2 * 8
+    # a rejected step records the objective of the last accepted one again
+    assert any(a["repeat"] == b["repeat"] and a["objective"] == b["objective"]
+               for a, b in zip(rows, rows[1:]))
+
+
 def trained_model_path(tmp_path, depth):
     args = ["train", *FAST, "--depth", str(depth), "--repeats", "1", "--steps", "1",
             "--output-dir", str(tmp_path)]
@@ -192,6 +211,30 @@ def test_export_warp_tables(tmp_path):
     got = np.array([[float(r["x1"]), float(r["target_1"])] for r in g_rows])
     want = np.column_stack([model.stack.layers[0].Xg, model.stack.layers[0].Yg])
     np.testing.assert_array_equal(got, want)
+
+
+def test_export_warp_propagates_each_grid_chunk_once(tmp_path, monkeypatch):
+    # every propagate call through a depth-1 stack warps its rows once
+    model_path = trained_model_path(tmp_path, depth=1)
+    calls = []
+    counted = warp_stack.warp_point
+
+    def counting(layer, x):
+        calls.append(len(x))
+        return counted(layer, x)
+
+    monkeypatch.setattr(warp_stack, "warp_point", counting)
+    rows = PREDICT_CHUNK_ROWS + 5  # a full chunk and a tail
+    for count, chunks in ((7, [7]), (rows, [PREDICT_CHUNK_ROWS, 5])):
+        calls.clear()
+        assert main(["export-warp", "--model", str(model_path), "--grid", f"0:1:{count}",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert calls == chunks
+        grid_rows = read_rows(tmp_path / "steps_chirp_1d_depth1_repeat0_warp_grid.csv")
+        assert len(grid_rows) == count
+    mean, var = predict_f(load(model_path), np.linspace(0, 1, rows)[:, None])
+    np.testing.assert_array_equal([float(r["pred_mean"]) for r in grid_rows], mean)
+    np.testing.assert_array_equal([float(r["pred_var"]) for r in grid_rows], var)
 
 
 def test_export_warp_depth0_identity(tmp_path):

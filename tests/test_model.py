@@ -18,10 +18,11 @@ from scipy.optimize import minimize_scalar
 
 import sswim.autodiff as ad
 from sswim import ssgp
-from sswim.features import SpectralBasis, feature_map
-from sswim.model import (apply_parameters, build_model, fd_gradient, load, objective,
-                         predict_f, save, value_and_gradient)
+from sswim.features import SpectralBasis, expected_feature_map, feature_map
+from sswim.model import (PREDICT_CHUNK_ROWS, apply_parameters, build_model, fd_gradient, load,
+                         objective, predict_f, save, value_and_gradient)
 from sswim.train import TrainConfig, train
+from sswim.warp_stack import propagate
 
 
 def toy_data(seed, n=15, d=1):
@@ -422,6 +423,32 @@ def test_one_row_sized_solve_per_predictive_variance(monkeypatch):
     assert len(inverses) == n_variances
 
 
+def test_one_row_sized_product_per_predictive_variance_and_chunk(monkeypatch):
+    # two full chunks and a 12-row tail are three passes, each taking the
+    # 2 * depth + 1 products and inverses of one pass, all chunk-sized
+    x, y = toy_data(25, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
+    objective(model, x, y)
+    xs = np.random.default_rng(4).uniform(-1, 1, (2 * PREDICT_CHUNK_ROWS + 12, 2))
+    n_variances = 2 * model.depth + 1
+    calls = {"trmm": [], "trtri": [], "cho": []}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name].append(np.shape(args[-1])[-1])  # the right-hand side's columns
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ad, "dtrmm", counting("trmm", ad.dtrmm))
+    monkeypatch.setattr(ad, "dtrtri", counting("trtri", ad.dtrtri))
+    monkeypatch.setattr(ad, "cho_solve", counting("cho", ad.cho_solve))
+    predict_f(model, xs)
+    chunks = [PREDICT_CHUNK_ROWS, PREDICT_CHUNK_ROWS, 12]
+    assert calls["trmm"] == [rows for rows in chunks for _ in range(n_variances)]
+    assert len(calls["trtri"]) == len(chunks) * n_variances
+    assert calls["cho"] == []
+
+
 # -- prediction --------------------------------------------------------------
 
 
@@ -441,6 +468,56 @@ def test_predict_variance_includes_noise_floor():
     objective(model, x, y)
     _, var = predict_f(model, np.linspace(-2, 2, 50)[:, None])
     assert np.all(var >= model.top_noise_var)
+
+
+@pytest.mark.parametrize("outputs", [1, 2])
+def test_predict_in_row_chunks_matches_one_pass(outputs):
+    x, y = toy_data(31, n=40, d=2)
+    if outputs == 2:
+        y = np.column_stack([y, np.cos(x[:, 0])])
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=19)
+    objective(model, x, y)
+    rows = 5 * PREDICT_CHUNK_ROWS // 2  # two full chunks and a half one
+    xs = np.random.default_rng(3).uniform(-1.2, 1.2, (rows, 2))
+    mean, var = predict_f(model, xs)
+    assert mean.shape == (rows,) + np.shape(y)[1:] and var.shape == (rows,)
+    # bit for bit the chunk slices' predictions, concatenated
+    parts = [predict_f(model, xs[i:i + PREDICT_CHUNK_ROWS])
+             for i in range(0, rows, PREDICT_CHUNK_ROWS)]
+    np.testing.assert_array_equal(mean, np.concatenate([m for m, _ in parts]))
+    np.testing.assert_array_equal(var, np.concatenate([v for _, v in parts]))
+    # and to rounding the whole batch in one pass
+    one_mean, one_var = ssgp.predict(
+        model.top_post, expected_feature_map(model.top_basis, propagate(model.stack, xs)))
+    np.testing.assert_allclose(mean, one_mean, rtol=1e-12)
+    np.testing.assert_allclose(var, one_var + model.top_noise_var, rtol=1e-12)
+    # a point and an empty batch keep their shapes
+    point_mean, point_var = predict_f(model, xs[0])
+    assert np.shape(point_mean) == np.shape(y)[1:] and np.shape(point_var) == ()
+    empty_mean, empty_var = predict_f(model, xs[:0])
+    assert empty_mean.shape == (0,) + np.shape(y)[1:] and empty_var.shape == (0,)
+
+
+def test_prediction_memory_bounded_by_the_chunk():
+    # the traced peak of predict_f less its outputs, counted in
+    # PREDICT_CHUNK_ROWS x 2M float64 feature arrays: about 3.1 at one chunk
+    # of rows and at four; a one-pass prediction needs about 12.3 at four
+    M = 32
+    x, y = toy_data(23, n=500, d=2)
+    model = build_model(x, n_layers=1, M=M, n_pseudo=16, seed=5)
+    objective(model, x, y)
+    xs = np.random.default_rng(1).uniform(-1, 1, (4 * PREDICT_CHUNK_ROWS, 2))
+    peaks = []
+    for rows in (PREDICT_CHUNK_ROWS, 4 * PREDICT_CHUNK_ROWS):
+        tracemalloc.start()
+        try:
+            mean, var = predict_f(model, xs[:rows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append((peak - mean.nbytes - var.nbytes) / (PREDICT_CHUNK_ROWS * 2 * M * 8))
+    assert peaks[0] <= 4
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 # -- serialization -----------------------------------------------------------
