@@ -8,18 +8,18 @@ evidence of the targets under that construction, jointly over every
 hyperparameter and every pseudo-training pair.
 
 Canonical trainable state is a flat parameter vector ``model.theta`` with a
-fixed segment schema; positive quantities live in it as logarithms. The
-stack, bases, and fitted posteriors are derived from it: ``build_model``
-and ``load`` materialize them once, and ``objective`` and
-``value_and_gradient`` refit them. An evaluation rebinds a model's fields
-and never mutates the objects in them (``_install`` and
-``apply_parameters`` only assign, and ``refit`` mutates only layers that
-``_assemble`` has just built), so a candidate theta is evaluated on a
+fixed segment schema; positive quantities live in it as logarithms.
+``_assemble`` derives the stack and bases from it and fits nothing; a fit
+happens only in an evaluation (``objective``, ``value_and_gradient``) or in
+``load``, so a model from ``build_model`` holds no posterior. An evaluation
+rebinds a model's fields and never mutates the objects in them (``_install``
+and ``apply_parameters`` only assign, and ``_fit_warps`` mutates only layers
+that ``_assemble`` has just built), so a candidate theta is evaluated on a
 shallow copy, ``apply_parameters(replace(model), theta)``, and no model is
 ever reverted. One assembly routine serves both modes: handed the theta
 array it produces a plain numpy model, handed a tape tensor a traced one,
 so the gradient differentiates exactly the arithmetic the plain objective
-runs. Every Gram is factored exactly once per assembly. Prediction is
+runs. Every Gram is factored exactly once per evaluation. Prediction is
 row-separable and walks a batch in fixed chunks of PREDICT_CHUNK_ROWS rows,
 so its temporaries do not grow with the batch.
 
@@ -111,8 +111,8 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     ``M_w`` (warp feature count) and ``warp_lengthscale`` default to the
     top-level M and lengthscale. Pseudo inputs are drawn uniformly over
     the box of ``x_train``; pseudo targets start near the identity warp
-    with spread ``sigma_gamma``. All sampling is derived deterministically
-    from ``seed``.
+    with spread ``sigma_gamma``. Sampling is derived deterministically from
+    ``seed``. The structures are derived from theta; nothing is fitted.
     """
     x_train = np.asarray(x_train, dtype=float)
     if x_train.ndim != 2:
@@ -148,8 +148,9 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     schema, _ = _build_schema(d, n_layers, n_pseudo)
     model = SswimModel(WarpStack(layers), top_basis, float(noise_var), schema=schema,
                        n_pseudo=n_pseudo, sigma_gamma=sigma_gamma, seed=seed)
-    # fit everything from theta, once, so canonical and derived state agree
-    return _materialize(apply_parameters(model, np.concatenate(parts)))
+    apply_parameters(model, np.concatenate(parts))
+    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
+    return model
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
@@ -172,8 +173,7 @@ def _assemble(model: SswimModel, theta):
     """Rebuild stack and top pieces with trainable values read from theta.
 
     theta may be the plain parameter array or a tape tensor; the assembled
-    structures hold values of the same kind, and all warp posteriors are
-    refit on the way.
+    structures hold values of the same kind. Fits nothing (see _fit_warps).
     """
     segments = {s.name: s for s in model.schema}
 
@@ -188,30 +188,30 @@ def _assemble(model: SswimModel, theta):
 
     layers = []
     for j, old in enumerate(model.stack.layers):
-        layer = WarpLayer(
+        layers.append(WarpLayer(
             clone_basis(old.g_basis, f"layer{j}.g"),
             clone_basis(old.h_basis, f"layer{j}.h"),
             seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
             seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
             seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"),
-        )
-        try:
-            layers.append(refit(layer))
-        except (ad.FactorizationError, ad.NonFiniteError) as e:
-            raise type(e)(f"warp layer {j}, {e}") from None
+        ))
     top_basis = clone_basis(model.top_basis, "top")
     return WarpStack(layers), top_basis, seg("top.noise_var")
 
 
-def _materialize(model: SswimModel) -> SswimModel:
-    """Build the stack and top pieces (not the top posterior) from theta."""
-    model.stack, model.top_basis, model.top_noise_var = _detach(_assemble(model, model.theta))
-    return model
+def _fit_warps(assembled):
+    """Fit in place the warp layers of an :func:`_assemble` result (evaluation and load)."""
+    for j, layer in enumerate(assembled[0].layers):
+        try:
+            refit(layer)
+        except (ad.FactorizationError, ad.NonFiniteError) as e:
+            raise type(e)(f"warp layer {j}, {e}") from None
+    return assembled
 
 
 def _forward(model: SswimModel, theta, x, y):
     """Objective at theta plus the fitted (stack, top_basis, top_noise, post)."""
-    stack, top_basis, top_noise = _assemble(model, theta)
+    stack, top_basis, top_noise = _fit_warps(_assemble(model, theta))
     gi = propagate(stack, x)
     try:
         post = ssgp.fit_from_features(top_basis, expected_feature_map(top_basis, gi),
@@ -482,13 +482,13 @@ def _from_document(doc) -> SswimModel:
     layers = [WarpLayer(basis(f"layer{j}.g", m_w), basis(f"layer{j}.h", m_w),
                         blank, blank, blank, blank, 1.0, 1.0) for j in range(n_layers)]
     post = _required(doc, "top_posterior")
-    if post is not None:
-        post = _top_posterior(post, 2 * m)
+    post = None if post is None else _top_posterior(post, 2 * m)
     model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
                        n_pseudo, sigma_gamma, seed)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
-            _materialize(apply_parameters(model, theta))
+            apply_parameters(model, theta)
+            model.stack, model.top_basis, model.top_noise_var = _fit_warps(_assemble(model, theta))
             # only the warp layers are refit, so a top-level overflow shows nowhere else
             top = model.top_basis
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),

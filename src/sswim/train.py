@@ -12,8 +12,11 @@ Each candidate is evaluated on a shallow copy of the model (see
 :mod:`sswim.model`), and only an accepted one is adopted, so no step is ever
 undone by another forward pass. A non-finite objective or gradient, or a
 failed factorization, rejects the step: the copy is dropped, the Adam
-moments stay at the last accepted step and the learning rate halves; five
-consecutive rejections abandon the run with ``diverged`` set on the trace.
+moments stay at the last accepted step, the learning rate halves and the
+trace's ``rejected`` list records the step with its cause; five consecutive
+rejections abandon the run with ``diverged`` set on the trace. Candidates
+are evaluated with numpy's floating-point warnings off, since those checks,
+not the warnings, decide a step.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class TrainTrace:
     best_step: int = 0
     best_objective: float = np.inf
     diverged: bool = False
+    rejected: list = field(default_factory=list)  # (step, cause) of each rejected step
     final_learning_rate: float = 0.0
 
 
@@ -94,17 +98,19 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         v_hat = v_next / (1.0 - BETA2 ** (t + 1))
         candidate = model.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         try:
-            trial = apply_parameters(replace(model), candidate)
-            new_value, new_grad = value_and_gradient(trial, x, y)
-            ad.check_finite(new_grad, "gradient")
-        except (ad.NonFiniteError, ad.FactorizationError):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                trial = apply_parameters(replace(model), candidate)
+                new_value, new_grad = value_and_gradient(trial, x, y)
+                ad.check_finite(new_grad, "gradient")
+        except (ad.NonFiniteError, ad.FactorizationError) as e:
+            trace.rejected.append((step, str(e)))
             lr *= 0.5
             consecutive += 1
             record_point(value)  # the model is still at the last accepted step
             if consecutive >= MAX_CONSECUTIVE_REVERTS:
                 trace.diverged = True
                 warnings.warn("training stopped early: "
-                              f"{consecutive} consecutive non-finite steps")
+                              f"{consecutive} consecutive non-finite steps; last: {e}")
                 break
             continue
         consecutive = 0

@@ -5,7 +5,6 @@ import base64
 import csv
 import json
 import re
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -179,9 +178,7 @@ def test_overfit_trace_rejects_a_step_whose_gradient_is_not_finite(tmp_path):
             "--noise-std", "0.05", "--M", "16", "--M-w", "8", "--n-pseudo", "8",
             "--seed", "3", "--depth", "2", "--steps", "8", "--repeats", "2",
             "--learning-rate", "100", "--output-dir", str(tmp_path)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN adjoints
-        assert main(args) == 0
+    assert main(args) == 0  # quietly: any warning fails the suite
     rows = read_rows(tmp_path / "steps_chirp_1d_overfit_trace.csv")
     assert len(rows) == 2 * 8
     # a rejected step records the objective of the last accepted one again
@@ -325,8 +322,8 @@ def model_document(tmp_path_factory):
     return trained_model_path(tmp_path_factory.mktemp("trained"), depth=1).read_text()
 
 
-# the theta[.] = 1e308 cases overflow in exp; load rejects them without a warning
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# the theta[.] = 1e308 cases overflow in exp; load rejects them without a
+# warning (the suite turns every warning into an error)
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_export_warp_names_malformed_model_field(case, model_document, tmp_path, capsys):
     edit, message = MALFORMED[case]

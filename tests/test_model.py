@@ -358,7 +358,7 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
         return len(calls), out
 
     n_built, model = count(build_model, x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=16)
-    assert n_built == 2 * model.depth  # the warp Grams; the top one needs targets
+    assert n_built == 0  # a fit happens only in an evaluation or in load
     n_grams = 1 + 2 * model.depth
     assert count(apply_parameters, model, model.theta + 0.01)[0] == 0
     assert count(objective, model, x, y)[0] == n_grams
@@ -549,6 +549,16 @@ def test_save_load_unfitted_model(tmp_path):
     assert clone.top_post is None
     with pytest.raises(RuntimeError):
         predict_f(clone, x)
+
+
+def test_fresh_model_holds_no_fit_and_assembles_what_load_does(tmp_path):
+    x, y = toy_data(24, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
+    assert posteriors(model) == []
+    assert all(layer.g_post is None and layer.h_post is None for layer in model.stack.layers)
+    clone = load(save(model, tmp_path / "fresh.json"))
+    assert len(posteriors(clone)) == 2 * clone.depth  # load fits the warp layers only
+    assert objective(clone, x, y) == objective(model, x, y)
 
 
 def test_load_rejects_foreign_documents(tmp_path):

@@ -2,7 +2,6 @@
 
 import hashlib
 import importlib
-import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -116,14 +115,18 @@ def test_stationary_recovery_of_smooth_signal():
 def test_divergence_reverts_and_halves_learning_rate(forward_passes):
     x, y = sine_data(11, n=30)
     model = small_model(x, seed=9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the poisoned forward
-        with pytest.warns(UserWarning, match="consecutive non-finite"):
-            model, trace = train(model, x, y, TrainConfig(steps=20, learning_rate=1e6))
+    with pytest.warns(UserWarning, match="consecutive non-finite") as caught:
+        model, trace = train(model, x, y, TrainConfig(steps=20, learning_rate=1e6))
+    assert [w.category for w in caught] == [UserWarning]  # no numpy RuntimeWarning
     assert trace.diverged
     assert len(trace.objectives) == 1 + MAX_CONSECUTIVE_REVERTS
     assert len(set(trace.objectives)) == 1  # every revert re-records the same point
     assert trace.final_learning_rate == 1e6 / 2 ** MAX_CONSECUTIVE_REVERTS
+    # one named cause per halving, and the warning quotes the last one
+    assert len(trace.rejected) == MAX_CONSECUTIVE_REVERTS
+    assert [step for step, _ in trace.rejected] == list(range(1, 1 + MAX_CONSECUTIVE_REVERTS))
+    assert all(cause for _, cause in trace.rejected)
+    assert str(caught[0].message).endswith(f"last: {trace.rejected[-1][1]}")
     assert trace.best_step == 0
     # the initial evaluation and one per rejected trial
     assert len(forward_passes) == 1 + MAX_CONSECUTIVE_REVERTS
