@@ -7,19 +7,21 @@ Bayesian linear regression. The training objective is the negative log
 evidence of the targets under that construction, jointly over every
 hyperparameter and every pseudo-training pair.
 
-Canonical trainable state is a flat parameter vector ``model.theta`` with a
-fixed segment schema; positive quantities live in it as logarithms.
-``_assemble`` derives the stack and bases from it and fits nothing; a fit
-happens only in an evaluation (``objective``, ``value_and_gradient``) or in
-``load``, so a model from ``build_model`` holds no posterior. An evaluation
-rebinds a model's fields and never mutates the objects in them (``_install``
-and ``apply_parameters`` only assign, and ``_fit_warps`` mutates only layers
-that ``_assemble`` has just built), so a candidate theta is evaluated on a
-shallow copy, ``apply_parameters(replace(model), theta)``, and no model is
-ever reverted. One assembly routine serves both modes: handed the theta
-array it produces a plain numpy model, handed a tape tensor a traced one,
-so the gradient differentiates exactly the arithmetic the plain objective
-runs. Every Gram is factored exactly once per evaluation. Prediction is
+A model is its frozen frequency draws (``model.draws``, drawn once at
+build time) plus a flat parameter vector ``model.theta`` with a fixed
+segment schema; positive quantities live in theta as logarithms.
+:func:`apply_parameters` is the one place theta becomes structures: it
+installs theta and assembles the warp stack, top basis and top noise
+variance from the draws and theta, unfitted. A model is therefore in one of
+two states, assembled from its theta and unfitted (from ``build_model`` or
+``apply_parameters``), or fitted at its theta (after ``objective``,
+``value_and_gradient`` or ``load``), and never stale. A fit returns new
+objects and mutates none, so a candidate theta is evaluated on a shallow
+copy, ``apply_parameters(replace(model), theta)``, and no model is ever
+reverted. One assembly routine serves both modes: handed the theta array it
+produces a plain numpy model, handed a tape tensor a traced one, so the
+gradient differentiates exactly the arithmetic the plain objective runs.
+Every Gram is factored exactly once per evaluation. Prediction is
 row-separable and walks a batch in fixed chunks of PREDICT_CHUNK_ROWS rows,
 so its temporaries do not grow with the batch.
 
@@ -60,15 +62,18 @@ PREDICT_CHUNK_ROWS = 4096
 
 @dataclass
 class SswimModel:
-    stack: WarpStack
-    top_basis: SpectralBasis
-    top_noise_var: object
-    top_post: ssgp.SsgpPosterior = None
+    family: str
+    draws: dict  # frozen (M, D) frequency draws by basis: "top", "layer{j}.g", "layer{j}.h"
+    schema: tuple
+    n_pseudo: int
+    sigma_gamma: float
+    seed: object
     theta: np.ndarray = None  # canonical flat parameter vector
-    schema: tuple = ()
-    n_pseudo: int = 0
-    sigma_gamma: float = 0.1
-    seed: object = 0
+    # assembled from draws and theta by apply_parameters, fitted by an evaluation
+    stack: WarpStack = None
+    top_basis: SpectralBasis = None
+    top_noise_var: object = None
+    top_post: ssgp.SsgpPosterior = None
 
     @property
     def input_dim(self):
@@ -126,38 +131,35 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     ell_w = lengthscale if warp_lengthscale is None else warp_lengthscale
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(1 + 3 * n_layers)
-    top_basis = make_basis(family, M, d, children[0], lengthscale, amplitude)
     data_min, data_max = x_train.min(axis=0), x_train.max(axis=0)
-    layers = []
-    for j in range(n_layers):
-        g_b = make_basis(family, m_w, d, children[1 + 3 * j], ell_w, amplitude)
-        h_b = make_basis(family, m_w, d, children[2 + 3 * j], ell_w, amplitude)
-        init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
-        layers.append(draw_warp_layer(data_min, data_max, init, (g_b, h_b),
-                                      warp_noise_var, warp_noise_var))
 
     def log_hypers(basis, noise):
         return [np.log(basis.lengthscales), np.log([basis.amplitude]), np.log([noise])]
 
     # the drawn values segment by segment, in _build_schema's order
-    parts = log_hypers(top_basis, float(noise_var))
-    for layer in layers:
+    top_basis = make_basis(family, M, d, children[0], lengthscale, amplitude)
+    draws, parts = {"top": top_basis.base_draws}, log_hypers(top_basis, float(noise_var))
+    for j in range(n_layers):
+        bases = [make_basis(family, m_w, d, children[k + 3 * j], ell_w, amplitude) for k in (1, 2)]
+        init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
+        layer = draw_warp_layer(data_min, data_max, init, bases, warp_noise_var, warp_noise_var)
+        draws[f"layer{j}.g"], draws[f"layer{j}.h"] = (b.base_draws for b in bases)
         parts += (log_hypers(layer.g_basis, layer.g_noise_var)
                   + log_hypers(layer.h_basis, layer.h_noise_var)
                   + [a.ravel() for a in (layer.Xg, layer.Yg, layer.Xh, layer.Yh)])
     schema, _ = _build_schema(d, n_layers, n_pseudo)
-    model = SswimModel(WarpStack(layers), top_basis, float(noise_var), schema=schema,
-                       n_pseudo=n_pseudo, sigma_gamma=sigma_gamma, seed=seed)
-    apply_parameters(model, np.concatenate(parts))
-    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
-    return model
+    model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
+    return apply_parameters(model, np.concatenate(parts))
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
-    """Validate and install a flat parameter vector; fits nothing.
+    """Validate and install a flat parameter vector and assemble the model from it.
 
-    The top posterior is dropped and the other caches are stale until the
-    next :func:`objective` or :func:`value_and_gradient`.
+    The stack, top basis and top noise variance are rebuilt from the frozen
+    draws and the new theta, and the top posterior is dropped: the model is
+    assembled and unfitted until the next :func:`objective` or
+    :func:`value_and_gradient`. Only the model's fields are rebound, so
+    applying to a shallow copy leaves the original as it was.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.schema[-1].stop,):
@@ -165,15 +167,17 @@ def apply_parameters(model: SswimModel, values) -> SswimModel:
                          f"schema expects ({model.schema[-1].stop},)")
     ad.check_finite(values, "parameter vector")
     model.theta = values.copy()
+    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
     model.top_post = None
     return model
 
 
 def _assemble(model: SswimModel, theta):
-    """Rebuild stack and top pieces with trainable values read from theta.
+    """Unfitted stack, top basis and top noise variance at theta.
 
-    theta may be the plain parameter array or a tape tensor; the assembled
-    structures hold values of the same kind. Fits nothing (see _fit_warps).
+    Reads only the model's schema, family and draws. theta may be the plain
+    parameter array or a tape tensor; the assembled structures hold values
+    of the same kind.
     """
     segments = {s.name: s for s in model.schema}
 
@@ -182,36 +186,33 @@ def _assemble(model: SswimModel, theta):
         part = ad.reshape(ad.take(theta, slice(s.start, s.stop)), s.shape)
         return ad.exp(part) if s.log else part
 
-    def clone_basis(old, prefix):
-        return SpectralBasis(old.family, old.M, old.D, old.base_draws,
-                             seg(prefix + ".lengthscales"), seg(prefix + ".amplitude"))
+    def basis(key):
+        draws = model.draws[key]
+        return SpectralBasis(model.family, *draws.shape, draws,
+                             seg(key + ".lengthscales"), seg(key + ".amplitude"))
 
+    layers = [WarpLayer(basis(f"layer{j}.g"), basis(f"layer{j}.h"),
+                        seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
+                        seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
+                        seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"))
+              for j in range(len(model.draws) // 2)]  # a top draw and two per layer
+    return WarpStack(layers), basis("top"), seg("top.noise_var")
+
+
+def _fit_warps(stack: WarpStack) -> WarpStack:
+    """A copy of the stack with every warp layer fitted; ``stack`` is left as it is."""
     layers = []
-    for j, old in enumerate(model.stack.layers):
-        layers.append(WarpLayer(
-            clone_basis(old.g_basis, f"layer{j}.g"),
-            clone_basis(old.h_basis, f"layer{j}.h"),
-            seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
-            seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
-            seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"),
-        ))
-    top_basis = clone_basis(model.top_basis, "top")
-    return WarpStack(layers), top_basis, seg("top.noise_var")
-
-
-def _fit_warps(assembled):
-    """Fit in place the warp layers of an :func:`_assemble` result (evaluation and load)."""
-    for j, layer in enumerate(assembled[0].layers):
+    for j, layer in enumerate(stack.layers):
         try:
-            refit(layer)
+            layers.append(refit(layer))
         except (ad.FactorizationError, ad.NonFiniteError) as e:
             raise type(e)(f"warp layer {j}, {e}") from None
-    return assembled
+    return WarpStack(layers)
 
 
-def _forward(model: SswimModel, theta, x, y):
-    """Objective at theta plus the fitted (stack, top_basis, top_noise, post)."""
-    stack, top_basis, top_noise = _fit_warps(_assemble(model, theta))
+def _forward(stack, top_basis, top_noise, x, y):
+    """Objective of assembled structures plus the fitted (stack, top_basis, top_noise, post)."""
+    stack = _fit_warps(stack)
     gi = propagate(stack, x)
     try:
         post = ssgp.fit_from_features(top_basis, expected_feature_map(top_basis, gi),
@@ -244,10 +245,10 @@ def objective(model: SswimModel, x, y) -> float:
     """Joint negative log evidence at the model's current parameters.
 
     Side effect: refits every warp posterior and the top posterior, leaving
-    the model coherent for prediction.
+    the model fitted at its theta and ready for prediction.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value, fitted = _forward(model, model.theta, x, y)
+    value, fitted = _forward(model.stack, model.top_basis, model.top_noise_var, x, y)
     _install(model, fitted)
     return float(value)
 
@@ -259,7 +260,7 @@ def value_and_gradient(model: SswimModel, x, y):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     theta_t = ad.Tensor(model.theta)
-    value, fitted = _forward(model, theta_t, x, y)
+    value, fitted = _forward(*_assemble(model, theta_t), x, y)
     ad.check_finite(value, "objective")
     value.backward()
     grad = theta_t.grad if theta_t.grad is not None else np.zeros_like(model.theta)
@@ -291,17 +292,14 @@ def fd_gradient(model: SswimModel, x, y, rel_step=1e-5):
 def _predict_chunks(model: SswimModel, xstar):
     """Yield ``(propagated inputs, mean, noise-inclusive variance)`` per row chunk.
 
-    Rows are taken in order, PREDICT_CHUNK_ROWS at a time; a point, an empty
-    batch or a batch that fits one chunk is a single pass over ``xstar``.
+    Rows are taken in order, PREDICT_CHUNK_ROWS at a time; an empty batch is
+    one empty chunk and a single point one pass.
     """
     if model.top_post is None:
         raise RuntimeError("model has no fitted posterior; evaluate objective() or train first")
     xstar = np.asarray(xstar, dtype=float)
-    if xstar.ndim < 2 or len(xstar) <= PREDICT_CHUNK_ROWS:
-        chunks = [xstar]
-    else:
-        chunks = (xstar[i:i + PREDICT_CHUNK_ROWS]
-                  for i in range(0, len(xstar), PREDICT_CHUNK_ROWS))
+    chunks = [xstar] if xstar.ndim < 2 else (
+        xstar[i:i + PREDICT_CHUNK_ROWS] for i in range(0, max(len(xstar), 1), PREDICT_CHUNK_ROWS))
     for chunk in chunks:
         gi = propagate(model.stack, chunk)
         mean, var = ssgp.predict(model.top_post, expected_feature_map(model.top_basis, gi))
@@ -385,10 +383,6 @@ def save(model: SswimModel, path):
     is a :func:`_blob`, so the document is exact and ``save`` of a loaded
     model reproduces the file byte for byte.
     """
-    draws = {"top": _blob(model.top_basis.base_draws)}
-    for j, layer in enumerate(model.stack.layers):
-        draws[f"layer{j}.g"] = _blob(layer.g_basis.base_draws)
-        draws[f"layer{j}.h"] = _blob(layer.h_basis.base_draws)
     top_post = None
     if model.top_post is not None:
         p = model.top_post
@@ -403,7 +397,7 @@ def save(model: SswimModel, path):
     doc = {
         "format": "sswim-model",
         "version": SCHEMA_VERSION,
-        "family": model.top_basis.family,
+        "family": model.family,
         "input_dim": model.top_basis.D,
         "M": model.top_basis.M,
         "M_w": model.stack.layers[0].g_basis.M if model.stack.layers else None,
@@ -413,7 +407,7 @@ def save(model: SswimModel, path):
         "seed": model.seed if isinstance(model.seed, int) else str(model.seed),
         "schema": _schema_rows(model.schema),
         "theta": _blob(model.theta),
-        "base_draws": draws,
+        "base_draws": {key: _blob(a) for key, a in model.draws.items()},
         "top_posterior": top_post,
     }
     with open(path, "w", encoding="utf-8") as f:
@@ -470,25 +464,16 @@ def _from_document(doc) -> SswimModel:
     if _required(doc, "schema") != _schema_rows(schema):
         raise ValueError("schema does not match input_dim, n_layers and n_pseudo")
     theta = _array(doc, "theta", (size,))
-    draws = _required(doc, "base_draws")
-
-    def basis(key, n_freq):
-        return SpectralBasis(family, n_freq, d,
-                             _array(draws, key, (n_freq, d), "base_draws."),
-                             np.ones(d), 1.0)
-
-    top_basis = basis("top", m)
-    blank = np.zeros((n_pseudo, d))
-    layers = [WarpLayer(basis(f"layer{j}.g", m_w), basis(f"layer{j}.h", m_w),
-                        blank, blank, blank, blank, 1.0, 1.0) for j in range(n_layers)]
+    part = _required(doc, "base_draws")
+    sizes = {"top": m} | {f"layer{j}.{fn}": m_w for j in range(n_layers) for fn in "gh"}
+    draws = {key: _array(part, key, (n, d), "base_draws.") for key, n in sizes.items()}
     post = _required(doc, "top_posterior")
     post = None if post is None else _top_posterior(post, 2 * m)
-    model = SswimModel(WarpStack(layers), top_basis, 1.0, None, np.empty(size), schema,
-                       n_pseudo, sigma_gamma, seed)
+    model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
             apply_parameters(model, theta)
-            model.stack, model.top_basis, model.top_noise_var = _fit_warps(_assemble(model, theta))
+            model.stack = _fit_warps(model.stack)
             # only the warp layers are refit, so a top-level overflow shows nowhere else
             top = model.top_basis
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),

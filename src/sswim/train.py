@@ -12,11 +12,12 @@ Each candidate is evaluated on a shallow copy of the model (see
 :mod:`sswim.model`), and only an accepted one is adopted, so no step is ever
 undone by another forward pass. A non-finite objective or gradient, or a
 failed factorization, rejects the step: the copy is dropped, the Adam
-moments stay at the last accepted step, the learning rate halves and the
-trace's ``rejected`` list records the step with its cause; five consecutive
-rejections abandon the run with ``diverged`` set on the trace. Candidates
-are evaluated with numpy's floating-point warnings off, since those checks,
-not the warnings, decide a step.
+moments stay at the last accepted step, the learning rate halves, the
+trace repeats the last accepted point (objective and test metrics, with no
+new prediction) and its ``rejected`` list records the step with its cause;
+five consecutive rejections abandon the run with ``diverged`` set on the
+trace. Candidates are evaluated with numpy's floating-point warnings off,
+since those checks, not the warnings, decide a step.
 """
 
 from __future__ import annotations
@@ -106,7 +107,10 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
             trace.rejected.append((step, str(e)))
             lr *= 0.5
             consecutive += 1
-            record_point(value)  # the model is still at the last accepted step
+            # the model is still at the last accepted step: repeat its point
+            for series in (trace.objectives, trace.test_rmse, trace.test_mnlp):
+                if series is not None:
+                    series.append(series[-1])
             if consecutive >= MAX_CONSECUTIVE_REVERTS:
                 trace.diverged = True
                 warnings.warn("training stopped early: "

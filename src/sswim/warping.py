@@ -28,7 +28,7 @@ and trained by marginal likelihood.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,20 +67,21 @@ class WarpLayer:
 
 
 def refit(layer: WarpLayer) -> WarpLayer:
-    """Refit both posteriors from the layer's current pseudo data and bases.
+    """A copy of the layer with both posteriors fit to its pseudo data and bases.
 
-    Must be called after mutating pseudo pairs, noise variances, or basis
-    hyperparameters; the warp operations trust the caches. A failed fit is
-    re-raised with the regressor ("g regressor: ...") named.
+    The input layer is left as it is; the warp operations trust the returned
+    copy's caches. A failed fit is re-raised with the regressor ("g regressor:
+    ...") named.
     """
+    posts = {}
     for fn in ("g", "h"):
         try:
             post = ssgp.fit(getattr(layer, fn + "_basis"), getattr(layer, "X" + fn),
                             getattr(layer, "Y" + fn), getattr(layer, fn + "_noise_var"))
         except (ad.FactorizationError, ad.NonFiniteError) as e:
             raise type(e)(f"{fn} regressor: {e}") from None
-        setattr(layer, fn + "_post", post)
-    return layer
+        posts[fn + "_post"] = post
+    return replace(layer, **posts)
 
 
 def draw_warp_layer(data_min, data_max, init: WarpInit, bases,

@@ -8,7 +8,7 @@ against the module's value on small random instances.
 import base64
 import json
 import tracemalloc
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -97,6 +97,38 @@ def test_pack_apply_round_trip():
     perturbed = before + 0.01 * np.arange(before.size)
     apply_parameters(model, perturbed)
     np.testing.assert_array_equal(model.theta, perturbed)
+
+
+def test_apply_parameters_assembles_the_model_from_theta():
+    x, y = toy_data(3, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=6)
+    objective(model, x, y)
+    before = replace(model)
+    theta = model.theta + 0.05 * np.cos(np.arange(model.theta.size))
+    apply_parameters(model, theta)  # no evaluation follows
+    seg = {s.name: theta[s.start:s.stop].reshape(s.shape) for s in model.schema}
+    assert model.top_post is None
+    top = model.top_basis
+    np.testing.assert_array_equal(top.lengthscales, np.exp(seg["top.lengthscales"]))
+    assert top.amplitude == np.exp(seg["top.amplitude"])
+    assert model.top_noise_var == np.exp(seg["top.noise_var"])
+    assert top.base_draws is model.draws["top"]
+    for j, layer in enumerate(model.stack.layers):
+        for name in ("Xg", "Yg", "Xh", "Yh"):
+            np.testing.assert_array_equal(getattr(layer, name), seg[f"layer{j}.{name}"])
+        for fn in ("g", "h"):
+            basis = getattr(layer, fn + "_basis")
+            np.testing.assert_array_equal(basis.lengthscales,
+                                          np.exp(seg[f"layer{j}.{fn}.lengthscales"]))
+            assert basis.base_draws is model.draws[f"layer{j}.{fn}"]
+            assert getattr(layer, fn + "_noise_var") == np.exp(seg[f"layer{j}.{fn}.noise_var"])
+            assert getattr(layer, fn + "_post") is None
+    # a shallow copy taken before keeps its fit at the old theta
+    assert before.top_post is not None and before.stack.layers[0].g_post is not None
+    assert not np.array_equal(before.stack.layers[0].Xg, model.stack.layers[0].Xg)
+    # the draws and theta alone determine the model
+    bare = replace(model, stack=None, top_basis=None, top_noise_var=None)
+    assert objective(apply_parameters(bare, theta), x, y) == objective(model, x, y)
 
 
 def test_schema_covers_expected_segments():
@@ -549,6 +581,19 @@ def test_save_load_unfitted_model(tmp_path):
     assert clone.top_post is None
     with pytest.raises(RuntimeError):
         predict_f(clone, x)
+
+
+def test_load_restores_the_frozen_draws_bit_for_bit(tmp_path):
+    x, y = toy_data(25, n=12, d=2)
+    model = build_model(x, n_layers=2, M=5, M_w=3, n_pseudo=4, seed=18)
+    objective(model, x, y)
+    clone = load(save(model, tmp_path / "model.json"))
+    assert clone.family == model.family
+    assert list(clone.draws) == ["top", "layer0.g", "layer0.h", "layer1.g", "layer1.h"]
+    for key, draws in model.draws.items():
+        assert clone.draws[key].shape == draws.shape
+        assert clone.draws[key].tobytes() == draws.tobytes()
+    assert clone.top_basis.base_draws is clone.draws["top"]
 
 
 def test_fresh_model_holds_no_fit_and_assembles_what_load_does(tmp_path):

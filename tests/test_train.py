@@ -178,6 +178,32 @@ def test_trials_never_change_an_accepted_state(monkeypatch, forward_passes):
     assert all(getattr(model, f.name) is getattr(best, f.name) for f in fields(model))
 
 
+def test_a_rejected_step_repeats_the_test_metrics_without_predicting(monkeypatch):
+    # step 2 of 3 is rejected: four recorded points, three predictions
+    x, y = sine_data(15, n=30)
+    xt, yt = sine_data(16, n=20)
+    evaluations, predictions = [], []
+    evaluate, predict = train_module.value_and_gradient, train_module.predict_f
+
+    def reject_step_2(model, x, y):
+        evaluations.append(1)
+        if len(evaluations) == 3:
+            raise ad.NonFiniteError("injected")
+        return evaluate(model, x, y)
+
+    def counting_predict(model, x):
+        predictions.append(1)
+        return predict(model, x)
+
+    monkeypatch.setattr(train_module, "value_and_gradient", reject_step_2)
+    monkeypatch.setattr(train_module, "predict_f", counting_predict)
+    _, trace = train(small_model(x, seed=13), x, y, TrainConfig(steps=3), (xt, yt))
+    assert [step for step, _ in trace.rejected] == [2]
+    assert len(predictions) == 3 and len(trace.test_rmse) == 4
+    for series in (trace.objectives, trace.test_rmse, trace.test_mnlp):
+        assert series[2] == series[1] and series[3] != series[2]
+
+
 def test_final_learning_rate_reported():
     x, y = sine_data(13, n=20)
     _, trace = train(small_model(x, seed=11), x, y, TrainConfig(steps=3, learning_rate=0.02))

@@ -5,8 +5,6 @@ form g*x + h) and check the module's closed-form moments against sample
 moments with 4-standard-error bands.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +12,7 @@ from hypothesis import strategies as st
 
 from sswim import ssgp
 from sswim.features import GaussianInput, expected_feature_map, feature_map, make_basis
-from sswim.warping import (WarpInit, WarpLayer, draw_warp_layer, refit, warp_gaussian,
-                           warp_point)
+from sswim.warping import WarpInit, draw_warp_layer, refit, warp_gaussian, warp_point
 
 
 def make_bases(D, M_w=6, seed=0, lengthscales=1.0):
@@ -243,12 +240,27 @@ def test_refit_coherence_round_trip():
     original = layer.Yg[0, 0]
 
     layer.Yg[0, 0] = original + 0.5
-    refit(layer)
+    layer = refit(layer)
     changed = warp_point(layer, x)
     assert np.any(changed.mean != before.mean)
 
     layer.Yg[0, 0] = original
-    refit(layer)
+    layer = refit(layer)
     restored = warp_point(layer, x)
     np.testing.assert_array_equal(restored.mean, before.mean)
     np.testing.assert_array_equal(restored.var, before.var)
+
+
+def test_refit_returns_a_fitted_copy_and_leaves_its_input_alone():
+    fitted = random_layer(26)
+    unfitted = draw_warp_layer(np.zeros(2), np.ones(2), WarpInit(12, 0.3, seed=27),
+                               make_bases(2, seed=127))
+    for layer in (fitted, unfitted):
+        g_post, h_post = layer.g_post, layer.h_post
+        copy = refit(layer)
+        assert copy is not layer
+        assert layer.g_post is g_post and layer.h_post is h_post
+        assert copy.g_post is not None and copy.h_post is not None
+    again = refit(fitted)
+    np.testing.assert_array_equal(again.g_post.alpha, fitted.g_post.alpha)
+    np.testing.assert_array_equal(again.h_post.A_factor, fitted.h_post.A_factor)
