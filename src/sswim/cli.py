@@ -277,8 +277,6 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
     if not path.exists():
         raise ConfigError(f"model file {path} does not exist")
     model = load(path)
-    if model.top_post is None:
-        raise ConfigError(f"{path} holds no fitted posterior; train before exporting")
     d = model.input_dim
     grid = _parse_grid_spec(grid_spec, d)
     predicted = np.vstack([np.column_stack([gi.mean, gi.var, mu, var])

@@ -25,12 +25,12 @@ Every Gram is factored exactly once per evaluation. Prediction is
 row-separable and walks a batch in fixed chunks of PREDICT_CHUNK_ROWS rows,
 so its temporaries do not grow with the batch.
 
-``save`` writes a version-2 JSON document: readable header scalars and
-schema, and every float array (theta, frequency draws, the top posterior's
-weights, projections and Cholesky factor) as base64 of its little-endian
-float64 bytes, so a round trip is exact and ``load`` refits only the warp
-layers. ``load`` reads version 2 only and names the field of any malformed
-entry.
+``save`` writes a fitted model as a version-3 JSON document holding each fact
+once: a few JSON scalars, and theta, the frequency draws and the top
+posterior's weights and Cholesky factor as base64 of their little-endian
+float64 bytes, so a round trip is exact. ``load`` reads every size from the
+draws' shapes and the top noise variance from theta, refits only the warp
+layers, also reads version 2 and names the field of any malformed entry.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .warping import WarpInit, WarpLayer, draw_warp_layer, refit
 
 Segment = namedtuple("Segment", ("name", "start", "stop", "shape", "log"))
 
-SCHEMA_VERSION = 2  # of the saved document, the only one load reads
+SCHEMA_VERSION = 3  # of the document save writes; load also reads version 2
 
 # Rows per predict_f pass. At 4,096 a 20,000-row batch (M=64) peaks at about
 # a fifth of the whole-batch pass's traced memory with bit-identical outputs;
@@ -133,23 +133,23 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     children = root.spawn(1 + 3 * n_layers)
     data_min, data_max = x_train.min(axis=0), x_train.max(axis=0)
 
-    def log_hypers(basis, noise):
-        return [np.log(basis.lengthscales), np.log([basis.amplitude]), np.log([noise])]
+    def log_hypers(key, basis, noise):
+        return {f"{key}.lengthscales": np.log(basis.lengthscales),
+                f"{key}.amplitude": np.log(basis.amplitude), f"{key}.noise_var": np.log(noise)}
 
-    # the drawn values segment by segment, in _build_schema's order
     top_basis = make_basis(family, M, d, children[0], lengthscale, amplitude)
-    draws, parts = {"top": top_basis.base_draws}, log_hypers(top_basis, float(noise_var))
+    draws, values = {"top": top_basis.base_draws}, log_hypers("top", top_basis, float(noise_var))
     for j in range(n_layers):
         bases = [make_basis(family, m_w, d, children[k + 3 * j], ell_w, amplitude) for k in (1, 2)]
         init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
         layer = draw_warp_layer(data_min, data_max, init, bases, warp_noise_var, warp_noise_var)
         draws[f"layer{j}.g"], draws[f"layer{j}.h"] = (b.base_draws for b in bases)
-        parts += (log_hypers(layer.g_basis, layer.g_noise_var)
-                  + log_hypers(layer.h_basis, layer.h_noise_var)
-                  + [a.ravel() for a in (layer.Xg, layer.Yg, layer.Xh, layer.Yh)])
+        values |= (log_hypers(f"layer{j}.g", layer.g_basis, layer.g_noise_var)
+                   | log_hypers(f"layer{j}.h", layer.h_basis, layer.h_noise_var)
+                   | {f"layer{j}.{mat}": getattr(layer, mat) for mat in ("Xg", "Yg", "Xh", "Yh")})
     schema, _ = _build_schema(d, n_layers, n_pseudo)
     model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
-    return apply_parameters(model, np.concatenate(parts))
+    return apply_parameters(model, np.concatenate([np.ravel(values[s.name]) for s in schema]))
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
@@ -219,7 +219,7 @@ def _forward(stack, top_basis, top_noise, x, y):
                                       y, top_noise)
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise type(e)(f"top-level fit: {e}") from None
-    return ssgp.posterior_nlml(post), (stack, top_basis, top_noise, post)
+    return ssgp.posterior_nlml(post, y), (stack, top_basis, top_noise, post)
 
 
 def _detach(x):
@@ -230,8 +230,8 @@ def _detach(x):
         return type(x)(_detach(v) for v in x)
     if is_dataclass(x):
         values = {f.name: _detach(getattr(x, f.name)) for f in fields(x)}
-        if isinstance(x, ssgp.SsgpPosterior):
-            values["gram"] = None  # only a tape differentiates the Gram
+        if isinstance(x, ssgp.SsgpPosterior):  # only a fit's own evidence reads these
+            values["gram"] = values["proj_y"] = None
         return replace(x, **values)
     return x
 
@@ -289,20 +289,25 @@ def fd_gradient(model: SswimModel, x, y, rel_step=1e-5):
     return grad
 
 
+def _fitted_posterior(model: SswimModel) -> ssgp.SsgpPosterior:
+    if model.top_post is None:
+        raise RuntimeError("model has no fitted posterior; evaluate objective() or train first")
+    return model.top_post
+
+
 def _predict_chunks(model: SswimModel, xstar):
     """Yield ``(propagated inputs, mean, noise-inclusive variance)`` per row chunk.
 
     Rows are taken in order, PREDICT_CHUNK_ROWS at a time; an empty batch is
     one empty chunk and a single point one pass.
     """
-    if model.top_post is None:
-        raise RuntimeError("model has no fitted posterior; evaluate objective() or train first")
+    top_post = _fitted_posterior(model)
     xstar = np.asarray(xstar, dtype=float)
     chunks = [xstar] if xstar.ndim < 2 else (
         xstar[i:i + PREDICT_CHUNK_ROWS] for i in range(0, max(len(xstar), 1), PREDICT_CHUNK_ROWS))
     for chunk in chunks:
         gi = propagate(model.stack, chunk)
-        mean, var = ssgp.predict(model.top_post, expected_feature_map(model.top_basis, gi))
+        mean, var = ssgp.predict(top_post, expected_feature_map(model.top_basis, gi))
         yield gi, mean, var + model.top_noise_var
 
 
@@ -353,62 +358,28 @@ def _required(part, key, prefix=""):
     return part[key]
 
 
-def _integer(part, key, lo, hi=None, prefix=""):
-    v = _required(part, key, prefix)
-    if type(v) is not int or v < lo or (hi is not None and v > hi):
-        want = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
-        raise ValueError(f"{prefix}{key} is {v!r}, expected an integer {want}")
-    return v
-
-
-def _number(part, key, prefix="", positive=False):
-    v = _required(part, key, prefix)
-    if type(v) not in (int, float) or not math.isfinite(v) or (positive and v <= 0):
-        raise ValueError(f"{prefix}{key} is {v!r}, "
-                         f"expected a finite{' positive' if positive else ''} number")
-    return v
-
-
-def _schema_rows(schema):
-    return [[s.name, s.start, s.stop, list(s.shape), s.log] for s in schema]
-
-
 def save(model: SswimModel, path):
-    """Write the model as a self-contained version-2 JSON document.
+    """Write a fitted model as a self-contained version-3 JSON document.
 
-    Holds the schema, flat parameters, every basis's frozen draws, and the
-    fitted top posterior with the Cholesky factor of its Gram (the posterior
-    cannot be rebuilt without the training data, and predictions must
-    survive a round trip). Header scalars are JSON text; every float array
-    is a :func:`_blob`, so the document is exact and ``save`` of a loaded
-    model reproduces the file byte for byte.
+    Holds the family, ``n_pseudo``, the provenance scalars ``sigma_gamma``
+    and ``seed``, the flat parameters, every basis's frozen draws, and the
+    top posterior's weights and the Cholesky factor of its Gram (the
+    posterior cannot be rebuilt without the training data, and predictions
+    must survive a round trip). Every float array is a :func:`_blob`, so the
+    document is exact and ``save`` of a loaded model reproduces the file byte
+    for byte. An unfitted model raises ``RuntimeError`` and writes nothing.
     """
-    top_post = None
-    if model.top_post is not None:
-        p = model.top_post
-        top_post = {
-            "alpha": _blob(p.alpha),
-            "factor": _blob(p.A_factor),
-            "noise_var": float(p.noise_var),
-            "n_data": int(p.n_data),
-            "sq_norm_y": float(p.sq_norm_y),
-            "proj_y": _blob(p.proj_y),
-        }
+    post = _fitted_posterior(model)
     doc = {
         "format": "sswim-model",
         "version": SCHEMA_VERSION,
         "family": model.family,
-        "input_dim": model.top_basis.D,
-        "M": model.top_basis.M,
-        "M_w": model.stack.layers[0].g_basis.M if model.stack.layers else None,
-        "n_layers": model.stack.depth,
         "n_pseudo": model.n_pseudo,
         "sigma_gamma": model.sigma_gamma,
-        "seed": model.seed if isinstance(model.seed, int) else str(model.seed),
-        "schema": _schema_rows(model.schema),
+        "seed": model.seed if type(model.seed) is int else str(model.seed),
         "theta": _blob(model.theta),
         "base_draws": {key: _blob(a) for key, a in model.draws.items()},
-        "top_posterior": top_post,
+        "top_posterior": {"alpha": _blob(post.alpha), "factor": _blob(post.A_factor)},
     }
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(doc))
@@ -418,13 +389,15 @@ def save(model: SswimModel, path):
 def load(path) -> SswimModel:
     """Rebuild a model saved by :func:`save`; predictions round-trip exactly.
 
-    Reads version 2 only; any other document raises ``ValueError``. Every
-    field is checked before anything is fitted: a missing key, a blob whose
-    bytes do not fill its shape, an array whose shape disagrees with the
-    header, or a non-finite value raises ``ValueError`` naming the field, as
-    does a theta whose warp layers cannot be fitted or whose top-level
-    frequencies, amplitude or noise variance overflow. Only the warp Grams
-    are factored; the top posterior keeps the stored factor and no Gram.
+    Reads versions 3 and 2 (whose extra fields are ignored) through one
+    reader; any other document raises ``ValueError``. Every field is checked
+    before anything is fitted: a missing key, a blob whose bytes do not fill
+    its shape, draws of the wrong shape or depth, a theta whose length
+    disagrees with the draws and ``n_pseudo``, or a non-finite value raises
+    ``ValueError`` naming the field, as does a theta whose warp layers cannot
+    be fitted or whose top-level frequencies, amplitude or noise variance
+    overflow. Only the warp Grams are factored; the top posterior keeps the
+    stored factor and no Gram.
     """
     with open(path, encoding="utf-8") as f:
         try:
@@ -432,8 +405,8 @@ def load(path) -> SswimModel:
         except json.JSONDecodeError as e:
             raise ValueError(f"{path} is not a JSON document: {e}") from None
     if not (isinstance(doc, dict) and doc.get("format") == "sswim-model"
-            and doc.get("version") == SCHEMA_VERSION):
-        raise ValueError(f"{path} is not a version-{SCHEMA_VERSION} model document")
+            and type(doc.get("version")) is int and doc["version"] in (2, SCHEMA_VERSION)):
+        raise ValueError(f"{path} is not a version-{SCHEMA_VERSION} (or version-2) model document")
     try:
         return _from_document(doc)
     except ValueError as e:
@@ -451,29 +424,33 @@ def _array(part, key, shape, prefix=""):
     return a
 
 
+def _scalar(doc, key, ok, want):
+    v = _required(doc, key)
+    if not ok(v):
+        raise ValueError(f"{key} is {v!r}, expected {want}")
+    return v
+
+
 def _from_document(doc) -> SswimModel:
-    family = _required(doc, "family")
-    if family not in FAMILIES:
-        raise ValueError(f"family is {family!r}, expected one of {FAMILIES}")
-    d, m = _integer(doc, "input_dim", 1), _integer(doc, "M", 1)
-    n_layers = _integer(doc, "n_layers", 0, MAX_DEPTH)
-    n_pseudo = _integer(doc, "n_pseudo", 1)
-    m_w = _integer(doc, "M_w", 1) if n_layers else None
-    sigma_gamma, seed = _number(doc, "sigma_gamma"), _required(doc, "seed")
-    schema, size = _build_schema(d, n_layers, n_pseudo)
-    if _required(doc, "schema") != _schema_rows(schema):
-        raise ValueError("schema does not match input_dim, n_layers and n_pseudo")
-    theta = _array(doc, "theta", (size,))
-    part = _required(doc, "base_draws")
-    sizes = {"top": m} | {f"layer{j}.{fn}": m_w for j in range(n_layers) for fn in "gh"}
-    draws = {key: _array(part, key, (n, d), "base_draws.") for key, n in sizes.items()}
-    post = _required(doc, "top_posterior")
-    post = None if post is None else _top_posterior(post, 2 * m)
+    family = _scalar(doc, "family", lambda v: v in FAMILIES, f"one of {FAMILIES}")
+    n_pseudo = _scalar(doc, "n_pseudo", lambda v: type(v) is int and v >= 1, "an integer >= 1")
+    sigma_gamma = _scalar(doc, "sigma_gamma",
+                          lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+    # save writes any other seed back as its str, so the round trip would change it
+    seed = _scalar(doc, "seed", lambda v: type(v) in (int, str), "an integer or a string")
+    draws = _draws(_required(doc, "base_draws"))
+    (m, d), depth = draws["top"].shape, len(draws) // 2
+    schema, size = _build_schema(d, depth, n_pseudo)
+    theta = _array(doc, "theta", None)
+    if theta.shape != (size,):
+        raise ValueError(f"theta has shape {theta.shape}; base_draws and n_pseudo {n_pseudo} "
+                         f"give ({size},)")
+    alpha, factor = _top_posterior(_required(doc, "top_posterior"), 2 * m)
     model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
             apply_parameters(model, theta)
-            model.stack = _fit_warps(model.stack)
+            model.stack = _detach(_fit_warps(model.stack))  # held fits keep no Gram
             # only the warp layers are refit, so a top-level overflow shows nowhere else
             top = model.top_basis
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
@@ -481,23 +458,41 @@ def _from_document(doc) -> SswimModel:
                 ad.check_finite(value, f"the top level's {what}")
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise ValueError(f"theta does not give a fittable model: {e}") from None
-    model.top_post = post
+    model.top_post = ssgp.SsgpPosterior(alpha, factor, model.top_noise_var, gram=None, proj_y=None)
     return model
 
 
-def _top_posterior(part, n_feat) -> ssgp.SsgpPosterior:
-    """The checked top posterior, with no Gram."""
+def _draws(part) -> dict:
+    """The checked draws: a top one, then a g and an h per layer shaped like ``layer0.g``."""
+    def draw(key, rows=None, cols=None):
+        a = _array(part, key, None, "base_draws.")
+        if a.ndim != 2 or 0 in a.shape or (rows or a.shape[0], cols or a.shape[1]) != a.shape:
+            raise ValueError(f"base_draws.{key} has shape {a.shape}, expected a non-empty "
+                             f"({rows or 'any'}, {cols or 'any'}) matrix")
+        return a
+
+    draws = {"top": draw("top")}
+    depth = len(part) // 2  # a top draw and two per layer; a missing one is named below
+    if depth > MAX_DEPTH:
+        raise ValueError(f"base_draws holds {len(part)} draws, more than {MAX_DEPTH} "
+                         "warp layers have")
+    for key in (f"layer{j}.{fn}" for j in range(depth) for fn in "gh"):
+        rows = len(draws["layer0.g"]) if "layer0.g" in draws else None
+        draws[key] = draw(key, rows, draws["top"].shape[1])
+    return draws
+
+
+def _top_posterior(part, n_feat):
+    """The checked top posterior's weights and lower Cholesky factor."""
+    if not isinstance(part, dict):
+        raise ValueError("top_posterior is not an object holding alpha and factor; "
+                         "only a fitted model is saved")
     prefix = "top_posterior."
     alpha = _array(part, "alpha", None, prefix)
     if alpha.ndim not in (1, 2) or alpha.shape[0] != n_feat:
         raise ValueError(f"{prefix}alpha has shape {alpha.shape}, "
                          f"expected ({n_feat},) or ({n_feat}, P)")
-    proj_y = _array(part, "proj_y", alpha.shape, prefix)
     factor = _array(part, "factor", (n_feat, n_feat), prefix)
     if np.any(np.triu(factor, 1)) or not np.all(np.diag(factor) > 0):
         raise ValueError(f"{prefix}factor is not a lower Cholesky factor")
-    return ssgp.SsgpPosterior(
-        alpha=alpha, A_factor=factor,
-        noise_var=_number(part, "noise_var", prefix, positive=True), gram=None,
-        n_data=_integer(part, "n_data", 0, prefix=prefix),
-        sq_norm_y=_number(part, "sq_norm_y", prefix), proj_y=proj_y)
+    return alpha, factor

@@ -20,7 +20,9 @@ The negative log evidence uses the weight-space identity
         - (F/2) * log(noise_var) + (N/2) * log(2 pi noise_var)
 
 with b = Phi^T y and F the feature count, which equals the dense N x N
-Gaussian log-density exactly (up to factorization round-off).
+Gaussian log-density exactly (up to factorization round-off). N and y.y are
+read from the targets, which ``posterior_nlml`` takes next to the posterior;
+the posterior keeps only what prediction and that one evidence call read.
 
 All functions accept plain numpy arrays or autodiff tensors, so the training
 objective reuses them unchanged.
@@ -38,22 +40,16 @@ from .features import SpectralBasis, feature_map
 
 @dataclass
 class SsgpPosterior:
-    """Posterior over feature weights plus the terms evidence and refits reuse."""
+    """Posterior over feature weights, plus the Gram and Phi^T Y a fit's evidence reads.
+
+    In a posterior a model holds, installed or loaded, ``gram`` and ``proj_y`` are None.
+    """
 
     alpha: object  # (2M,) or (2M, P) posterior weight means A^-1 Phi^T Y
     A_factor: np.ndarray  # (2M, 2M) lower Cholesky factor of the Gram, the only one
     noise_var: object  # observation noise variance
-    # (2M, 2M) the Gram A itself, the tape node traced solves differentiate; None
-    # in every posterior a model holds, since the plain predict and
-    # posterior_nlml read only the factor
-    gram: object
-    n_data: int
-    sq_norm_y: object  # sum of squared targets
+    gram: object  # (2M, 2M) the Gram A, the tape node traced solves differentiate
     proj_y: object  # (2M,) or (2M, P) b = Phi^T Y
-
-    @property
-    def n_outputs(self):
-        return 1 if np.ndim(self.alpha) == 1 else np.shape(self.alpha)[1]
 
 
 def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
@@ -74,8 +70,7 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
     proj = ad.transpose(phi) @ y
     factor = ad.chol_psd(gram)
     alpha = ad.psd_solve(gram, factor, proj)
-    sq_norm = ad.sum_(ad.multiply(y, y))
-    return SsgpPosterior(alpha, factor, noise_var, gram, n, sq_norm, proj)
+    return SsgpPosterior(alpha, factor, noise_var, gram, proj)
 
 
 def fit(basis: SpectralBasis, x, y, noise_var) -> SsgpPosterior:
@@ -83,20 +78,24 @@ def fit(basis: SpectralBasis, x, y, noise_var) -> SsgpPosterior:
     return fit_from_features(basis, feature_map(basis, x), y, noise_var)
 
 
-def posterior_nlml(post: SsgpPosterior):
-    """Negative log evidence of the data the posterior was fitted on.
+def posterior_nlml(post: SsgpPosterior, y):
+    """Negative log evidence of the targets ``y`` the posterior was fitted on.
 
-    For multi-column targets this is the sum over the independent outputs,
-    which share the Gram and its determinant.
+    N, the output count and y.y are read from ``y``; the posterior must come
+    straight from a fit, which keeps ``gram`` and ``proj_y``. For
+    multi-column targets this is the sum over the independent outputs, which
+    share the Gram and its determinant.
     """
+    y_shape = np.shape(y)
     n_feat = post.proj_y.shape[0]
-    quad = post.sq_norm_y - ad.sum_(ad.multiply(post.proj_y, post.alpha))
+    quad = ad.sum_(ad.multiply(y, y)) - ad.sum_(ad.multiply(post.proj_y, post.alpha))
     per_output = (
         0.5 * ad.psd_logdet(post.gram, post.A_factor)
         - 0.5 * n_feat * ad.log(post.noise_var)
-        + 0.5 * post.n_data * ad.log(2.0 * np.pi * post.noise_var)
+        + 0.5 * y_shape[0] * ad.log(2.0 * np.pi * post.noise_var)
     )
-    return 0.5 * quad / post.noise_var + post.n_outputs * per_output
+    n_outputs = 1 if len(y_shape) == 1 else y_shape[1]
+    return 0.5 * quad / post.noise_var + n_outputs * per_output
 
 
 def predict(post: SsgpPosterior, feat):

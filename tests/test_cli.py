@@ -281,23 +281,44 @@ def set_entry(part, key, i, value):
     part[key] = blob(a.reshape(part[key]["shape"]))
 
 
-# edit of a saved version-2 document, and the field the error must name
+def add_layers(doc, depth):
+    for j in range(1, depth):
+        for fn in "gh":
+            doc["base_draws"][f"layer{j}.{fn}"] = doc["base_draws"][f"layer0.{fn}"]
+
+
+# edit of a saved version-3 document, and the field the error must name
 MALFORMED = {
     "missing theta": (lambda d: drop(d, "theta"), "missing field theta"),
-    "short base_draws": (lambda d: d["base_draws"].update({"layer0.g": blob(np.ones((2, 1)))}),
-                         "base_draws.layer0.g has shape (2, 1), expected (3, 1)"),
+    "short base_draws": (lambda d: d["base_draws"].update({"layer0.h": blob(np.ones((2, 1)))}),
+                         "base_draws.layer0.h has shape (2, 1), expected a non-empty (3, 1)"),
+    "g draw without its h": (lambda d: drop(d["base_draws"], "layer0.h"),
+                             "missing field base_draws.layer0.h"),
+    "depth out of range": (lambda d: add_layers(d, 4),  # MAX_DEPTH is 3
+                           "base_draws holds 9 draws, more than 3 warp layers have"),
+    "top draw not 2-D": (lambda d: d["base_draws"].update({"top": blob(np.ones(4))}),
+                         "base_draws.top has shape (4,), expected a non-empty (any, any)"),
+    "empty top draw": (lambda d: d["base_draws"].update({"top": blob(np.ones((0, 1)))}),
+                       "base_draws.top has shape (0, 1), expected a non-empty (any, any)"),
+    "layer draw with the wrong column count": (
+        lambda d: d["base_draws"].update({"layer0.g": blob(np.ones((3, 2)))}),
+        "base_draws.layer0.g has shape (3, 2), expected a non-empty (any, 1)"),
+    "theta length disagrees with n_pseudo": (lambda d: d.update({"n_pseudo": 4}),
+                                             "theta has shape (21,); base_draws and n_pseudo 4"),
+    "n_pseudo past uint64": (lambda d: d.update({"n_pseudo": 2**64}),
+                             f"theta has shape (21,); base_draws and n_pseudo {2**64}"),
     "truncated alpha bytes": (lambda d: truncate(d["top_posterior"], "alpha"),
                               "top_posterior.alpha holds 56 bytes"),
     "short alpha": (lambda d: d["top_posterior"].update({"alpha": blob([0.5, 0.5])}),
                     "top_posterior.alpha has shape (2,)"),
-    "wide proj_y": (lambda d: d["top_posterior"].update({"proj_y": blob(np.ones((8, 2)))}),
-                    "top_posterior.proj_y has shape (8, 2)"),
     "square factor of the wrong size": (
         lambda d: d["top_posterior"].update({"factor": blob(np.eye(2))}),
         "top_posterior.factor has shape (2, 2), expected (8, 8)"),
     "upper-triangular factor": (
         lambda d: d["top_posterior"].update({"factor": blob(np.ones((8, 8)))}),
         "top_posterior.factor is not a lower Cholesky factor"),
+    "null top_posterior": (lambda d: d.update({"top_posterior": None}),
+                           "top_posterior is not an object holding alpha and factor"),
     "non-finite theta": (lambda d: d.update({"theta": blob(np.full(21, np.nan))}),
                          "theta has non-finite values"),
     "unfittable warp amplitude": (lambda d: set_entry(d, "theta", 4, 1e308),
@@ -305,15 +326,16 @@ MALFORMED = {
     "overflowing top amplitude": (
         lambda d: set_entry(d, "theta", 1, 1e308),
         "theta does not give a fittable model: non-finite values in the top level's amplitude"),
-    "missing noise variance": (lambda d: drop(d["top_posterior"], "noise_var"),
-                               "missing field top_posterior.noise_var"),
-    "depth out of range": (lambda d: d.update({"n_layers": 7}), "n_layers is 7"),
-    "input_dim past uint64": (lambda d: d.update({"input_dim": 2**64}),
-                              "schema does not match input_dim"),
-    "n_pseudo past uint64": (lambda d: d.update({"n_pseudo": 2**64}),
-                            "schema does not match input_dim, n_layers and n_pseudo"),
+    # save writes any other seed back as its str, so a round trip would change it
+    "list seed": (lambda d: d.update({"seed": [1, 2]}), "seed is [1, 2], expected an integer"),
+    "float seed": (lambda d: d.update({"seed": 1.5}), "seed is 1.5, expected an integer"),
+    "null seed": (lambda d: d.update({"seed": None}), "seed is None, expected an integer"),
+    "boolean seed": (lambda d: d.update({"seed": True}), "seed is True, expected an integer"),
     "version-1 document": (lambda d: d.update({"version": 1}),
-                           "is not a version-2 model document"),
+                           "is not a version-3 (or version-2) model document"),
+    # 3.0 == 3, but save would write it back as 3
+    "float version": (lambda d: d.update({"version": 3.0}),
+                      "is not a version-3 (or version-2) model document"),
 }
 
 

@@ -39,3 +39,46 @@ def test_no_unused_imports_in_src_and_tests():
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text(encoding="utf-8"))
              for p in files}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def unreferenced_privates(sources):
+    """``module: name`` for each module-level private function or class never read.
+
+    ``sources`` maps a module name to its text. A name counts as read where
+    any top-level statement other than its own definition, in any of the
+    modules, loads it, reads it as an attribute or imports it.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
+                    and not stmt.name.endswith("__")):  # a dunder is called implicitly
+                own = stmt.name
+                defined.append((module, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_the_check_finds_an_unreferenced_private():
+    sources = {"a": ("def _dead(x):\n    return _dead(x)\n\ndef _used():\n    pass\n\n"
+                     "class _Kept:\n    pass\n\ndef __getattr__(name):\n    return _used\n"),
+               "b": "from .a import _Kept\n"}
+    assert unreferenced_privates(sources) == ["a: _dead"]
+
+
+def test_every_private_definition_in_src_is_referenced():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert sources
+    assert unreferenced_privates(sources) == []

@@ -183,7 +183,7 @@ def test_objective_depth0_equals_plain_ssgp():
     x, y = toy_data(5, n=25)
     model = build_model(x, n_layers=0, M=8, seed=1)
     plain = ssgp.posterior_nlml(ssgp.fit_from_features(
-        model.top_basis, feature_map(model.top_basis, x), y, model.top_noise_var))
+        model.top_basis, feature_map(model.top_basis, x), y, model.top_noise_var), y)
     assert objective(model, x, y) == plain
 
 
@@ -288,15 +288,21 @@ def posteriors(x):
     return []
 
 
-def test_evaluations_leave_no_gram_on_the_model():
+def test_evaluations_leave_no_gram_on_the_model(tmp_path):
+    # a held posterior is its weights, factor and noise variance; the Gram
+    # and Phi^T y serve only the fit's own evidence
     x, y = toy_data(17, n=12)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=3, seed=10)
     for evaluate in (objective, value_and_gradient,
-                     lambda m, x, y: train(m, x, y, TrainConfig(steps=2))):
-        evaluate(model, x, y)
-        found = posteriors(model)
-        assert len(found) == 1 + 2 * model.depth
-        assert all(p.gram is None for p in found)
+                     lambda m, x, y: train(m, x, y, TrainConfig(steps=2)),
+                     lambda m, x, y: load(save(m, tmp_path / "model.json"))):
+        held = evaluate(model, x, y)
+        held = held if isinstance(held, type(model)) else model
+        found = posteriors(held)
+        assert len(found) == 1 + 2 * held.depth
+        assert all(p.gram is None and p.proj_y is None for p in found)
+        assert (np.asarray(held.top_post.noise_var).tobytes()
+                == np.asarray(held.top_noise_var).tobytes())
 
 
 def test_gradient_stationary_in_preoptimized_noise_coordinate():
@@ -349,7 +355,7 @@ def plain_ssgp_value_and_grad(model, x, y):
                           model.top_basis.D, model.top_basis.base_draws,
                           seg("top.lengthscales"), seg("top.amplitude"))
     post = ssgp.fit_from_features(basis, feature_map(basis, x), y, seg("top.noise_var"))
-    value = ssgp.posterior_nlml(post)
+    value = ssgp.posterior_nlml(post, y)
     value.backward()
     return float(value.value), theta_t.grad.reshape(-1)
 
@@ -571,16 +577,13 @@ def test_save_load_round_trip(tmp_path):
     assert np.max(np.abs(var - var2)) <= 1e-12
 
 
-def test_save_load_unfitted_model(tmp_path):
+def test_save_refuses_an_unfitted_model(tmp_path):
     x, _ = toy_data(23, n=10)
     model = build_model(x, n_layers=1, M=4, M_w=3, n_pseudo=4, seed=15)
     path = tmp_path / "fresh.json"
-    save(model, path)
-    clone = load(path)
-    np.testing.assert_array_equal(clone.theta, model.theta)
-    assert clone.top_post is None
-    with pytest.raises(RuntimeError):
-        predict_f(clone, x)
+    with pytest.raises(RuntimeError, match="no fitted posterior"):
+        save(model, path)
+    assert not path.exists()
 
 
 def test_load_restores_the_frozen_draws_bit_for_bit(tmp_path):
@@ -601,8 +604,9 @@ def test_fresh_model_holds_no_fit_and_assembles_what_load_does(tmp_path):
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
     assert posteriors(model) == []
     assert all(layer.g_post is None and layer.h_post is None for layer in model.stack.layers)
-    clone = load(save(model, tmp_path / "fresh.json"))
-    assert len(posteriors(clone)) == 2 * clone.depth  # load fits the warp layers only
+    fitted = replace(model)
+    objective(fitted, x, y)
+    clone = load(save(fitted, tmp_path / "model.json"))
     assert objective(clone, x, y) == objective(model, x, y)
 
 
@@ -618,9 +622,11 @@ def test_saved_document_holds_exact_blobs_and_the_factor(tmp_path):
     model = build_model(x, n_layers=1, M=6, M_w=4, n_pseudo=5, seed=19)
     objective(model, x, y)
     doc = json.loads(save(model, tmp_path / "model.json").read_text())
-    assert doc["version"] == 2
+    assert list(doc) == ["format", "version", "family", "n_pseudo", "sigma_gamma", "seed",
+                         "theta", "base_draws", "top_posterior"]
+    assert doc["version"] == 3
     post = doc["top_posterior"]
-    assert "gram" not in post and post["factor"]["shape"] == [12, 12]
+    assert list(post) == ["alpha", "factor"] and post["factor"]["shape"] == [12, 12]
     raw = base64.b64decode(post["factor"]["<f8"])
     factor = np.frombuffer(raw, dtype="<f8").reshape(12, 12)
     np.testing.assert_array_equal(factor, model.top_post.A_factor)
@@ -648,11 +654,35 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, depth, d, rows, M, M
 
 
 def test_load_rejects_unknown_version(tmp_path):
-    x, _ = toy_data(28, n=10)
-    path = save(build_model(x, n_layers=0, M=4, seed=21), tmp_path / "model.json")
+    x, y = toy_data(28, n=10)
+    model = build_model(x, n_layers=0, M=4, seed=21)
+    objective(model, x, y)
+    path = save(model, tmp_path / "model.json")
     doc = json.loads(path.read_text())
-    for version in (1, 3):  # the old nested-list format and a future one
+    for version in (1, 4):  # the old nested-list format and a future one
         doc["version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="is not a version-2 model document"):
+        with pytest.raises(ValueError, match=r"is not a version-3 \(or version-2\) model document"):
             load(path)
+
+
+def test_load_reads_a_version_2_document_through_the_same_reader(tmp_path):
+    # version 2 also stored the sizes, the schema rows and the top
+    # posterior's noise variance and evidence terms; load ignores them
+    x, y = toy_data(29, n=14, d=2)
+    model = build_model(x, n_layers=2, M=5, M_w=3, n_pseudo=4, seed=22)
+    objective(model, x, y)
+    path = save(model, tmp_path / "model.json")
+    v3_bytes = path.read_bytes()
+    doc = json.loads(v3_bytes)
+    doc.update(version=2, input_dim=2, M=5, M_w=3, n_layers=2,
+               schema=[[s.name, s.start, s.stop, list(s.shape), s.log] for s in model.schema])
+    doc["top_posterior"].update(noise_var=float(model.top_noise_var), n_data=len(y),
+                                sq_norm_y=float(y @ y), proj_y=doc["top_posterior"]["alpha"])
+    path.write_text(json.dumps(doc))
+    clone = load(path)
+    xs = np.random.default_rng(3).uniform(-1, 1, (9, 2))
+    for got, want in zip(predict_f(clone, xs), predict_f(model, xs)):
+        np.testing.assert_array_equal(got, want)
+    assert objective(clone, x, y) == objective(model, x, y)
+    assert save(clone, tmp_path / "again.json").read_bytes() == v3_bytes

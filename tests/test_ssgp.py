@@ -26,7 +26,7 @@ def dense_predict(phi_train, y, noise_var, phi_star):
 
 
 def nlml(basis, phi, y, noise_var):
-    return float(ssgp.posterior_nlml(ssgp.fit_from_features(basis, phi, y, noise_var)))
+    return float(ssgp.posterior_nlml(ssgp.fit_from_features(basis, phi, y, noise_var), y))
 
 
 def dense_nlml(phi_train, y, noise_var):
@@ -251,4 +251,4 @@ def test_weight_function_space_duality():
         assert abs(var - v) <= 1e-6
 
         want = dense_nlml(phi, y, noise_var)
-        assert abs(float(ssgp.posterior_nlml(post)) - want) <= 1e-6
+        assert abs(float(ssgp.posterior_nlml(post, y)) - want) <= 1e-6
