@@ -17,16 +17,19 @@ one dispatch point: with no ``Tensor`` among the inputs it returns the plain
 numpy value, otherwise a tape node over the inputs. This lets the model code
 be written once and executed either way, with bit-identical values.
 
-Linear algebra goes through three primitives: ``psd_solve``, ``psd_quad_diag``
-(the row-wise quadratic forms behind a predictive variance) and
-``psd_logdet``. The first runs triangular solves; the other two multiply by
+Linear algebra goes through four primitives: ``psd_solve``, ``psd_quad_diag``
+(the row-wise quadratic forms behind a predictive variance), ``psd_logdet``
+and ``gaussian_evidence`` (the whole negative log evidence of a Bayesian
+linear regression, one node over its Gram, its projected targets and its
+noise variance). The first runs triangular solves; the others multiply by
 the factor's triangular inverse (one LAPACK ``dtrtri``), which over many rows
-runs near GEMM speed. The Cholesky factorization itself is never
-differentiated through. None factors its matrix: the caller computes the
-factor once with ``chol_psd`` and passes it to every solve, quadratic form and
-log-determinant of that matrix. A whole trigonometric feature map, damped or
-not, is one more fused primitive, ``trig_features``, whose node holds only
-its N x 2M output.
+runs near GEMM speed. The Cholesky factorization itself is LAPACK ``dpotrf``
+and is never differentiated through. None of these factors its matrix: the
+caller computes the factor once with ``chol_psd`` and passes it to every
+solve, quadratic form, log-determinant and evidence of that matrix. A feature
+Gram Phi^T Phi is one node, ``gram``, whose adjoint is a single GEMM. A whole
+trigonometric feature map, damped or not, is one more fused primitive,
+``trig_features``, whose node holds only its N x 2M output.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 
 class FactorizationError(RuntimeError):
@@ -255,7 +258,8 @@ def trig_features(x, om, scale, var=None):
 
         proj-bar = out_c g_s - out_s g_c,    (log d)-bar = out_c g_c + out_s g_s,
 
-    and scale-bar = sum(g out) / scale.
+    and scale-bar = sum(g out) / scale. A damping exponent that overflows
+    gives d = 0, its limit, without a warning.
     """
     xv, omv, sv = _as_value(x), _as_value(om), _as_value(scale)
     varv = None if var is None else _as_value(var)
@@ -264,7 +268,9 @@ def trig_features(x, om, scale, var=None):
     c, s = np.cos(proj), np.sin(proj)
     del proj
     if varv is not None:
-        damp = np.exp(-0.5 * (varv @ (omv * omv).T))
+        # an overflow to inf damps to exp(-inf) = 0, the limit; a NaN still propagates
+        with np.errstate(over="ignore"):
+            damp = np.exp(-0.5 * (varv @ (omv * omv).T))
         c *= damp
         s *= damp
         del damp
@@ -296,9 +302,9 @@ def trig_features(x, om, scale, var=None):
 
     def vjp_scale(g):
         if abs(sv) >= np.finfo(float).tiny:
-            return np.sum(g * out) / sv
+            return np.vdot(g, out) / sv
         # out has no significant bits left to divide by scale: rebuild it unscaled
-        return np.sum(g * trig_features(xv, omv, 1.0, varv))
+        return np.vdot(g, trig_features(xv, omv, 1.0, varv))
 
     vjps = (lambda g: shared(g)[0] @ omv, vjp_om, vjp_scale)
     if varv is None:
@@ -324,6 +330,12 @@ def matmul(a, b):
         lambda g: (as_2d(g) @ b2.T).reshape(av.shape),
         lambda g: (a2.T @ as_2d(g)).reshape(bv.shape),
     ))
+
+
+def gram(phi):
+    """phi^T phi as one node; its adjoint phi (G-bar + G-bar^T) is one GEMM."""
+    pv = _as_value(phi)
+    return _node(pv.T @ pv, (phi,), (lambda g: pv @ (g + g.T),))
 
 
 def transpose(a):
@@ -361,22 +373,22 @@ def take(a, idx):
 
 
 def chol_psd(A):
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
+    """Lower Cholesky factor of a symmetric positive-definite matrix (LAPACK ``dpotrf``).
 
     ``A`` may be a tensor; the factor is always a plain array, a constant of
-    the tape. Retries once with a small diagonal jitter (1e-10 * mean
-    diagonal), then raises :class:`FactorizationError` with condition
-    diagnostics.
+    the tape, with an exactly zero upper triangle. Retries once with a small
+    diagonal jitter (1e-10 * mean diagonal), then raises
+    :class:`FactorizationError` with condition diagnostics.
     """
     A = _as_value(A)
     try:
-        return np.linalg.cholesky(A)
+        return _potrf(A)
     except np.linalg.LinAlgError:
         pass
     n = A.shape[0]
     jitter = 1e-10 * np.trace(A) / n
     try:
-        return np.linalg.cholesky(A + jitter * np.eye(n))
+        return _potrf(A + jitter * np.eye(n))
     except np.linalg.LinAlgError:
         diag = np.diag(A)
         raise FactorizationError(
@@ -384,6 +396,13 @@ def chol_psd(A):
             f"dim={n}, trace={np.trace(A):.6g}, diag range=[{diag.min():.6g}, "
             f"{diag.max():.6g}], asymmetry={np.abs(A - A.T).max():.3g}"
         ) from None
+
+
+def _potrf(A):
+    L, info = dpotrf(A, lower=1, clean=1)
+    if info:  # a leading minor is not positive definite
+        raise np.linalg.LinAlgError(f"dpotrf info={info}")
+    return L
 
 
 def chol_solve(L, B):
@@ -433,39 +452,80 @@ def _tri_inverse(L):
     return L_inv
 
 
+def _psd_inverse(L):
+    """A^-1 = L^-T L^-1 of A = L L^T, from one ``dtrtri``."""
+    L_inv = _tri_inverse(L)
+    return L_inv.T @ L_inv
+
+
 def psd_quad_diag(A, L, F):
     """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given A = L L^T.
 
     One ``dtrtri`` forms L^-1, and triangular multiplies by it give
-    V = L^-1 F^T and, for both adjoints, S = L^-T V = A^-1 F^T: F-bar = 2 g S^T
-    and A-bar = -(S g) S^T. The value is the column sums of V^2, so it is
+    V = L^-1 F^T and, for both adjoints, S = L^-T V = A^-1 F^T. F-bar = 2 g S^T,
+    laid out like F, is formed once and also gives A-bar = -(S g) S^T
+    = -F-bar^T S^T / 2. The value is the column sums of V^2, so it is
     nonnegative by construction whatever the rounding in L^-1.
     """
     L_inv = _tri_inverse(L)
     V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
-    S = _per_cotangent(lambda g: dtrmm(1.0, L_inv, V, lower=1, trans_a=1))
+
+    def solved(g):
+        # dtrmm returns Fortran order, so S^T is C-contiguous like F
+        S_t = dtrmm(1.0, L_inv, V, lower=1, trans_a=1).T
+        return S_t, S_t * (2.0 * np.expand_dims(g, -1))
+
+    shared = _per_cotangent(solved)
 
     def vjp_A(g):
-        s = S(g)
-        return -g * np.outer(s, s) if V.ndim == 1 else -(s * g) @ s.T
+        S_t, F_bar = shared(g)
+        return -0.5 * (np.outer(F_bar, S_t) if V.ndim == 1 else F_bar.T @ S_t)
 
-    def vjp_F(g):
-        return 2.0 * (S(g) * g).T
-
-    return _node(out, (A, F), (vjp_A, vjp_F))
+    return _node(out, (A, F), (vjp_A, lambda g: shared(g)[1]))
 
 
 def psd_logdet(A, L):
     """log-determinant of a symmetric positive-definite A with Cholesky factor L."""
     out = 2.0 * np.sum(np.log(np.diag(L)))
+    # the gradient of log|A| is A^-1 itself
+    return _node(out, (A,), (lambda g: g * _psd_inverse(L),))
 
-    def vjp(g):
-        # the gradient of log|A| is A^-1 itself, formed as L^-T L^-1
-        L_inv = _tri_inverse(L)
-        return g * (L_inv.T @ L_inv)
 
-    return _node(out, (A,), (vjp,))
+def gaussian_evidence(A, L, logdet, b, alpha, noise_var, y):
+    """Negative log evidence of targets y under y = Phi w + noise, w ~ N(0, I), as one node.
+
+    A = Phi^T Phi + noise_var I has the Cholesky factor L and the
+    log-determinant ``logdet``; b = Phi^T y and alpha = A^-1 b. y is (N,) or
+    (N, P), P independent outputs sharing A. With F features and
+    q = y.y - b.alpha the value is
+
+        0.5 q / noise_var + P (0.5 log|A| - (F/2) log noise_var + (N/2) log(2 pi noise_var)).
+
+    The node's inputs are A, b and noise_var; ``logdet`` and ``alpha`` enter as
+    values, their dependence on A and b folded into the adjoints. With
+    cotangent g:
+
+        A-bar = g/2 (P A^-1 + alpha alpha^T / noise_var),    b-bar = -g alpha / noise_var,
+        noise_var-bar = g (-q / (2 noise_var^2) + P (N - F) / (2 noise_var)).
+    """
+    bv, av, nv, yv = _as_value(b), _as_value(alpha), _as_value(noise_var), _as_value(y)
+    n, n_feat = yv.shape[0], bv.shape[0]
+    n_outputs = 1 if yv.ndim == 1 else yv.shape[1]
+    quad = np.sum(yv * yv) - np.sum(bv * av)
+    per_output = (0.5 * _as_value(logdet) - 0.5 * n_feat * np.log(nv)
+                  + 0.5 * n * np.log(2.0 * np.pi * nv))
+    out = 0.5 * quad / nv + n_outputs * per_output
+
+    def vjp_A(g):
+        a2 = av.reshape(n_feat, -1)
+        return 0.5 * g * (n_outputs * _psd_inverse(L) + (a2 @ a2.T) / nv)
+
+    return _node(out, (A, b, noise_var), (
+        vjp_A,
+        lambda g: -g * av / nv,
+        lambda g: g * (-0.5 * quad / nv**2 + 0.5 * n_outputs * (n - n_feat) / nv),
+    ))
 
 
 def check_finite(x, what: str):

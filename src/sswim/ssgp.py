@@ -8,9 +8,10 @@ regularized feature Gram
 
     A = Phi^T Phi + noise_var * I          (Phi has one feature row per datum)
 
-whose Cholesky factor, computed once per fit and kept on the posterior,
-backs every solve, predictive variance and log-determinant. The one
-explicit inverse is A^-1 as the gradient of log|A|, formed from the factor.
+with Phi^T Phi one tape node (``ad.gram``), whose Cholesky factor, computed
+once per fit and kept on the posterior, backs every solve, predictive
+variance and log-determinant. The one explicit inverse is A^-1 in the
+evidence's gradient, formed from the factor.
 Multiple output columns share one factorization and a single noise
 variance, giving each output the same scalar predictive variance.
 
@@ -20,9 +21,12 @@ The negative log evidence uses the weight-space identity
         - (F/2) * log(noise_var) + (N/2) * log(2 pi noise_var)
 
 with b = Phi^T y and F the feature count, which equals the dense N x N
-Gaussian log-density exactly (up to factorization round-off). N and y.y are
-read from the targets, which ``posterior_nlml`` takes next to the posterior;
-the posterior keeps only what prediction and that one evidence call read.
+Gaussian log-density exactly (up to factorization round-off). It reads the
+data only through (A, b, y.y), and it is one tape node over (A, b,
+noise_var), ``ad.gaussian_evidence``, with ``ad.psd_logdet`` giving the
+value of log|A|. N and y.y are read from the targets, which
+``posterior_nlml`` takes next to the posterior; the posterior keeps only
+what prediction and that one evidence call read.
 
 All functions accept plain numpy arrays or autodiff tensors, so the training
 objective reuses them unchanged.
@@ -64,7 +68,7 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
         raise ValueError(f"targets have shape {y_shape}, expected ({n},) or ({n}, P)")
     if basis is not None and n_feat != basis.n_features:
         raise ValueError(f"feature matrix has {n_feat} columns, basis provides {basis.n_features}")
-    gram = ad.transpose(phi) @ phi + noise_var * np.eye(n_feat)
+    gram = ad.gram(phi) + noise_var * np.eye(n_feat)
     # inf noise or amplitude slips past the phi check but poisons the factor
     ad.check_finite(gram, "feature Gram")
     proj = ad.transpose(phi) @ y
@@ -84,18 +88,13 @@ def posterior_nlml(post: SsgpPosterior, y):
     N, the output count and y.y are read from ``y``; the posterior must come
     straight from a fit, which keeps ``gram`` and ``proj_y``. For
     multi-column targets this is the sum over the independent outputs, which
-    share the Gram and its determinant.
+    share the Gram and its determinant. The evidence is one tape node over
+    the Gram, ``proj_y`` and the noise variance (``ad.gaussian_evidence``),
+    which takes log|A| as the value of ``ad.psd_logdet``.
     """
-    y_shape = np.shape(y)
-    n_feat = post.proj_y.shape[0]
-    quad = ad.sum_(ad.multiply(y, y)) - ad.sum_(ad.multiply(post.proj_y, post.alpha))
-    per_output = (
-        0.5 * ad.psd_logdet(post.gram, post.A_factor)
-        - 0.5 * n_feat * ad.log(post.noise_var)
-        + 0.5 * y_shape[0] * ad.log(2.0 * np.pi * post.noise_var)
-    )
-    n_outputs = 1 if len(y_shape) == 1 else y_shape[1]
-    return 0.5 * quad / post.noise_var + n_outputs * per_output
+    logdet = ad.psd_logdet(ad._as_value(post.gram), post.A_factor)
+    return ad.gaussian_evidence(post.gram, post.A_factor, logdet, post.proj_y, post.alpha,
+                                post.noise_var, y)
 
 
 def predict(post: SsgpPosterior, feat):

@@ -179,6 +179,7 @@ def dispatch_cases():
         "matmul 2-D @ 1-D": (ad.matmul, (x, y[0])),
         "matmul 1-D @ 1-D": (ad.matmul, (x[0], y[0])),
         "transpose": (ad.transpose, (x,)),
+        "gram": (ad.gram, (x,)),
         "reshape": (lambda a: ad.reshape(a, (2, 6)), (x,)),
         "expand_last": (ad.expand_last, (x,)),
         "sum_": (ad.sum_, (x,)),
@@ -186,6 +187,9 @@ def dispatch_cases():
         "psd_solve": (lambda a, b: ad.psd_solve(a, L, b), (A, y.T)),
         "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, L, f), (A, x)),
         "psd_logdet": (lambda a: ad.psd_logdet(a, L), (A,)),
+        "gaussian_evidence": (
+            lambda a, b, s: ad.gaussian_evidence(a, L, 1.3, b, y[1], s, x[:, 0]),
+            (A, y[0], np.array(0.7))),
     }
 
 
@@ -239,6 +243,13 @@ def test_transpose_reshape_expand_last():
     check_scalarized(lambda t: scalarize(ad.reshape(t, (15,)), p2), x)
     check_scalarized(lambda t: scalarize(ad.expand_last(t), p3), x)
     assert ad.expand_last(x).shape == (3, 5, 1)
+
+
+def test_gram_value_and_gradient():
+    rng = np.random.default_rng(21)
+    phi, proj = rng.standard_normal((6, 3)), rng.standard_normal((3, 3))
+    assert ad.gram(phi).tobytes() == (phi.T @ phi).tobytes()
+    check_scalarized(lambda t: scalarize(ad.gram(t), proj), phi)
 
 
 def test_take_accumulates_repeated_indices():
@@ -344,6 +355,7 @@ def test_backward_frees_what_the_vjps_captured():
     out.backward()
     assert quad.vjps is None and out.vjps is None
     assert all(r() is None for r in refs)
+    assert t.grad.flags.c_contiguous  # laid out like F, for the feature adjoints downstream
     np.testing.assert_allclose(t.grad, 2.0 * np.linalg.solve(A, t.value.T).T, rtol=1e-12)
 
 
@@ -481,6 +493,45 @@ def test_psd_logdet_gradient_is_the_inverse():
     ad.psd_logdet(t, ad.chol_psd(A)).backward()
     want = np.linalg.inv(A)
     assert np.max(np.abs(t.grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def evidence(phi, y, noise_var):
+    """The negative log evidence of y as ``ssgp`` builds it from the feature matrix phi."""
+    A = ad.gram(phi) + noise_var * np.eye(np.shape(phi)[1])
+    L = ad.chol_psd(A)
+    b = ad.transpose(phi) @ y
+    return ad.gaussian_evidence(A, L, ad.psd_logdet(ad._as_value(A), L), b,
+                                ad.psd_solve(A, L, b), noise_var, y)
+
+
+@pytest.mark.parametrize("outputs", [None, 2], ids=["1-D", "P=2"])
+def test_gaussian_evidence_matches_dense_density_and_finite_differences(outputs):
+    rng = np.random.default_rng(22)
+    n, n_feat = 7, 4
+    phi = rng.standard_normal((n, n_feat))
+    y = rng.standard_normal(n if outputs is None else (n, outputs))
+    noise_var = np.array(0.3)
+    # each output column is an independent N(0, phi phi^T + noise_var I) draw
+    K, Y = phi @ phi.T + noise_var * np.eye(n), y.reshape(n, -1)
+    dense = 0.5 * (np.sum(Y * np.linalg.solve(K, Y))
+                   + Y.shape[1] * (np.linalg.slogdet(K)[1] + n * np.log(2.0 * np.pi)))
+    assert evidence(phi, y, noise_var) == pytest.approx(dense, rel=1e-12)
+    for s in (noise_var, ad.Tensor(noise_var)):  # noise variance plain, then traced
+        check_scalarized(lambda t, s=s: evidence(t, y, s), phi)
+    check_scalarized(lambda t: evidence(phi, y, t), noise_var)
+
+
+def test_chol_psd_is_lower_triangular_and_matches_numpy():
+    rng = np.random.default_rng(23)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    near_singular = Q @ np.diag([1.0, 0.5, 0.1, -1e-13]) @ Q.T
+    near_singular = 0.5 * (near_singular + near_singular.T)
+    jittered = near_singular + 1e-10 * np.trace(near_singular) / 4 * np.eye(4)
+    for A, factored in ((spd(rng, 60), None), (near_singular, jittered)):
+        L = ad.chol_psd(A)
+        assert not np.any(np.triu(L, 1))
+        want = np.linalg.cholesky(A if factored is None else factored)
+        assert np.max(np.abs(L - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_chol_psd_of_tensor_is_plain_array():

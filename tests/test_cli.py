@@ -171,19 +171,31 @@ def test_overfit_trace_single_step_boundary(tmp_path):
     assert len(rows) == 1 and rows[0]["step"] == "1"
 
 
-def test_overfit_trace_rejects_a_step_whose_gradient_is_not_finite(tmp_path):
-    # at this learning rate some candidates have a finite objective whose
-    # backward pass goes NaN; train rejects them and halves the rate
+def overfit_trace_at_learning_rate_100(tmp_path, seed):
     args = ["overfit-trace", "--synthetic", "steps_chirp_1d", "--n", "120",
             "--noise-std", "0.05", "--M", "16", "--M-w", "8", "--n-pseudo", "8",
-            "--seed", "3", "--depth", "2", "--steps", "8", "--repeats", "2",
+            "--seed", str(seed), "--depth", "2", "--steps", "8", "--repeats", "2",
             "--learning-rate", "100", "--output-dir", str(tmp_path)]
     assert main(args) == 0  # quietly: any warning fails the suite
     rows = read_rows(tmp_path / "steps_chirp_1d_overfit_trace.csv")
     assert len(rows) == 2 * 8
+    return rows
+
+
+def test_overfit_trace_rejects_a_step_whose_gradient_is_not_finite(tmp_path):
+    # at this learning rate some candidates have a finite objective whose
+    # backward pass goes NaN; train rejects them and halves the rate
+    rows = overfit_trace_at_learning_rate_100(tmp_path, seed=3)
     # a rejected step records the objective of the last accepted one again
     assert any(a["repeat"] == b["repeat"] and a["objective"] == b["objective"]
                for a, b in zip(rows, rows[1:]))
+
+
+def test_overfit_trace_predicts_quietly_at_an_extreme_accepted_step(tmp_path):
+    # seed 0 accepts steps whose frequencies overflow the expected features'
+    # damping exponent; the test-set predictions damp them to 0, the limit
+    rows = overfit_trace_at_learning_rate_100(tmp_path, seed=0)
+    assert all(np.isfinite(float(r["test_rmse"])) for r in rows)
 
 
 def trained_model_path(tmp_path, depth):

@@ -407,6 +407,24 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
     assert count(load, path)[0] == 2 * model.depth
 
 
+@pytest.mark.parametrize("depth, limit", [(0, 25), (1, 99)])
+def test_tape_nodes_per_gradient_at_the_chirp_shape(depth, limit, monkeypatch):
+    # test_07's shape: each fit's Gram is one node and the top evidence
+    # another, where separate transpose, matmul and scalar nodes need 51 and 127
+    x, y = toy_data(25, n=320, d=1)
+    model = build_model(x, n_layers=depth, M=100, n_pseudo=64, seed=7)
+    sizes = []
+    backward = ad.Tensor.backward
+
+    def counting(root):
+        sizes.append(len(ad._topo_order(root)))
+        return backward(root)
+
+    monkeypatch.setattr(ad.Tensor, "backward", counting)
+    value_and_gradient(model, x, y)
+    assert len(sizes) == 1 and sizes[0] <= limit
+
+
 @pytest.mark.parametrize("depth, limit", [(1, 12), (2, 18)])
 def test_gradient_tape_memory_in_feature_arrays(depth, limit):
     # the traced peak of one value_and_gradient, counted in N x 2M float64
