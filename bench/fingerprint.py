@@ -40,7 +40,23 @@ DOCUMENT = "saved document"
 
 
 class TreeError(RuntimeError):
-    """A tree is not a source checkout, or its run failed."""
+    """A tree is not a source checkout, lacks the workload asked for, or its run failed."""
+
+
+def checkout(tree, needs=("src/sswim/__init__.py", "perfbench/workloads.py")) -> Path:
+    """The resolved root of a source checkout that holds every file of ``needs``."""
+    tree = Path(tree).resolve()
+    for need in needs:
+        if not (tree / need).is_file():
+            raise TreeError(f"{tree} has no {need}; give the root of a source checkout")
+    return tree
+
+
+def subprocess_env() -> dict:
+    """This environment without ``PYTHONPATH``, at one BLAS thread, writing no bytecode."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update({var: "1" for var in THREAD_VARS}, PYTHONDONTWRITEBYTECODE="1")
+    return env
 
 
 def collect(tree, overrides=None) -> dict:
@@ -49,12 +65,8 @@ def collect(tree, overrides=None) -> dict:
     ``overrides`` maps a workload name to ``Workload`` fields to replace,
     for runs at shrunken sizes.
     """
-    tree = Path(tree).resolve()
-    for need in ("src/sswim/__init__.py", "perfbench/workloads.py"):
-        if not (tree / need).is_file():
-            raise TreeError(f"{tree} has no {need}; give the root of a source checkout")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env.update({var: "1" for var in THREAD_VARS}, PYTHONDONTWRITEBYTECODE="1")
+    tree = checkout(tree)
+    env = subprocess_env()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "outputs.npz"
         run = subprocess.run(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .metrics import mnlp, rmse
-from .model import SswimModel, apply_parameters, predict_f, value_and_gradient
+from .model import SswimModel, predict_f, value_and_gradient
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MAX_CONSECUTIVE_REVERTS = 5
@@ -100,7 +100,7 @@ def train(model: SswimModel, x, y, config: TrainConfig, test_data=None):
         candidate = model.theta - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                trial = apply_parameters(replace(model), candidate)
+                trial = replace(model, theta=candidate)
                 new_value, new_grad = value_and_gradient(trial, x, y)
                 ad.check_finite(new_grad, "gradient")
         except (ad.NonFiniteError, ad.FactorizationError) as e:

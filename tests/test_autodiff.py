@@ -60,13 +60,50 @@ def test_elementwise_unary_gradients():
 
 
 def composed_trig_features(x, om, scale, var=None):
-    """The feature expression as separate numpy steps; the fused node must match it bit for bit."""
-    proj = x @ om.T
-    cs = np.concatenate([np.cos(proj), np.sin(proj)], axis=-1)
-    if var is None:
-        return scale * cs
-    damp = np.exp(-0.5 * (var @ (om * om).T))
-    return scale * (np.concatenate([damp, damp], axis=-1) * cs)
+    """The feature expression one numpy call at a time; the fused node must match it bit for bit.
+
+    With t = tan(theta / 2) and amplitude a, cos and sin are f - a and t f
+    for f = 2a / (1 + t^2).
+    """
+    t = np.tan(0.5 * (x @ om.T))
+    amp2 = 2.0 * scale
+    if var is not None:
+        amp2 = np.exp(-0.5 * (var @ (om * om).T)) * amp2
+    f = amp2 / (1.0 + t * t)
+    return np.concatenate([f - 0.5 * amp2, t * f], axis=-1)
+
+
+def unit_features(theta):
+    """cos and sin of a 1-D array of angles through ``trig_features`` at scale 1."""
+    out = ad.trig_features(np.asarray(theta, dtype=float)[:, None], np.ones((1, 1)), 1.0)
+    return out[:, 0], out[:, 1]
+
+
+def test_trig_features_match_numpy_cos_and_sin():
+    # 2 ulp at 1; the tangent form stays within 1.5 ulp of libm
+    bound = 4.5e-16
+    rng = np.random.default_rng(7)
+    # the doubles nearest k pi/2 and (2k + 1) pi, rounded from extended precision
+    half_pi = np.longdouble("1.57079632679489661923132169163975144")
+    k = np.arange(-2000, 2001)
+    for theta in (rng.uniform(-1e6, 1e6, 100_000), rng.uniform(-np.pi, np.pi, 100_000),
+                  (k * half_pi).astype(float), ((4 * k + 2) * half_pi).astype(float)):
+        c, s = unit_features(theta)
+        assert np.max(np.abs(c - np.cos(theta))) <= bound
+        assert np.max(np.abs(s - np.sin(theta))) <= bound
+    tiny = np.array([1e-10, -1e-10, 3e-200])
+    c, s = unit_features(tiny)
+    assert np.all(c == 1.0)
+    np.testing.assert_allclose(s, np.sin(tiny), rtol=1e-15, atol=0)
+
+
+def test_trig_features_of_inf_warn_and_nan_propagates():
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        c, s = unit_features([np.inf, -np.inf])
+    assert np.all(np.isnan(c)) and np.all(np.isnan(s))
+    c, s = unit_features([np.nan, 0.5])
+    assert np.isnan(c[0]) and np.isnan(s[0])
+    assert np.isfinite(c[1]) and np.isfinite(s[1])
 
 
 @pytest.mark.parametrize("rows", [None, 5], ids=["point", "batch"])

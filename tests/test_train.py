@@ -233,29 +233,30 @@ def test_adam_overshoot_on_concrete_shape(monkeypatch):
     model = build_model(x, n_layers=1, M=256, n_pseudo=1280, lengthscale=1.5,
                         noise_var=0.3, seed=model_seed)
 
-    applied, failed_factorizations = [], []
-    install, cholesky = train_module.apply_parameters, np.linalg.cholesky
+    evaluated, factored, failed_factorizations = [], [], []
+    evaluate, potrf = train_module.value_and_gradient, ad._potrf
 
-    def recording_install(m, theta):
-        applied.append(theta)
-        return install(m, theta)
+    def recording_evaluate(m, *args):
+        evaluated.append(m.theta)
+        return evaluate(m, *args)
 
-    def counting_cholesky(a):
+    def counting_potrf(a):
+        factored.append(a.shape)
         try:
-            return cholesky(a)
+            return potrf(a)
         except np.linalg.LinAlgError:
             failed_factorizations.append(a.shape)
             raise
 
-    monkeypatch.setattr(train_module, "apply_parameters", recording_install)
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(train_module, "value_and_gradient", recording_evaluate)
+    monkeypatch.setattr(ad, "_potrf", counting_potrf)
     model, trace = train(model, x, y, TrainConfig(steps=2, learning_rate=0.01))
 
     np.testing.assert_allclose(trace.objectives, [771.8164980252639, 689.869519899049,
                                                   792.0548727452681], rtol=1e-6)
     assert trace.best_step == 1 and not trace.diverged
     assert trace.final_learning_rate == 0.01  # no rollback
-    assert failed_factorizations == []
-    theta1, theta2 = applied[:2]
+    assert factored and failed_factorizations == []
+    theta1, theta2 = evaluated[1:]  # evaluated[0] is the initial theta
     apply_parameters(model, theta1 + 0.4 * (theta2 - theta1))
     assert objective(model, x, y) < min(trace.objectives[1:])
