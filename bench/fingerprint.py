@@ -9,9 +9,12 @@ records the pipeline's outputs:
 
 - the objective and gradient of ``value_and_gradient`` at the built model;
 - the ``train`` trace's objectives and the trained theta;
-- the means and variances of ``predict_f`` on the prediction batch;
+- the means and variances of ``predict_f`` on the prediction batch, and of
+  a second ``predict_f`` on it, which reuses the posteriors' factor inverses;
 - the saved model document, byte for byte;
-- the loaded model's ``predict_f`` on the held-out split and its objective.
+- the loaded model's ``predict_f`` at one point (the batch's first row as a
+  1-D input, the loaded model's first prediction), then on the held-out
+  split, and its objective.
 
 For each output the table gives the SHA-256 of its float64 bytes (of the
 document's bytes for the document) in both trees and the max-norm relative
@@ -140,9 +143,11 @@ def _outputs(workloads, w, path) -> dict:
     model, trace = train_mod.train(
         s.model, x, y, train_mod.TrainConfig(steps=w.steps, learning_rate=w.learning_rate))
     mean, var = model_mod.predict_f(model, s.batch)
+    repeat_mean, repeat_var = model_mod.predict_f(model, s.batch)
     model_mod.save(model, path)
     document = path.read_bytes()
     loaded = model_mod.load(path)
+    point_mean, point_var = model_mod.predict_f(loaded, s.batch[0])
     loaded_mean, loaded_var = model_mod.predict_f(loaded, s.test.X)
     return {
         "built objective": np.array([value]),
@@ -151,7 +156,11 @@ def _outputs(workloads, w, path) -> dict:
         "trained theta": model.theta,
         "predict_f mean": mean,
         "predict_f variance": var,
+        "repeat predict_f mean": repeat_mean,
+        "repeat predict_f variance": repeat_var,
         DOCUMENT: np.frombuffer(document, dtype=np.uint8),
+        "point predict_f mean": np.asarray(point_mean, dtype=float),
+        "point predict_f variance": np.asarray(point_var, dtype=float),
         "loaded predict_f mean": loaded_mean,
         "loaded predict_f variance": loaded_var,
         "loaded objective": np.array([model_mod.objective(loaded, x, y)]),

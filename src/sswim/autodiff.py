@@ -22,16 +22,19 @@ Linear algebra goes through four primitives: ``psd_solve``, ``psd_quad_diag``
 and ``gaussian_evidence`` (the whole negative log evidence of a Bayesian
 linear regression, one node over its Gram, its projected targets and its
 noise variance). The first runs triangular solves; the others multiply by
-the factor's triangular inverse (one LAPACK ``dtrtri``), which over many rows
-runs near GEMM speed. The Cholesky factorization itself is LAPACK ``dpotrf``
-and is never differentiated through. None of these factors its matrix: the
-caller computes the factor once with ``chol_psd`` and passes it to every
-solve, quadratic form, log-determinant and evidence of that matrix. A feature
-Gram Phi^T Phi is one node, ``gram``, whose adjoint is a single GEMM. A whole
-trigonometric feature map, damped or not, is one more fused primitive,
-``trig_features``, whose node holds only its N x 2M output. It forms cosine
-and sine from one vectorized tangent of the half angle rather than from
-numpy's scalar libm ``cos`` and ``sin``, within 1.5 ulp of them.
+the factor's triangular inverse, ``tri_inverse`` (one LAPACK ``dtrtri``),
+which over many rows runs near GEMM speed. The Cholesky factorization itself
+is LAPACK ``dpotrf`` and is never differentiated through. None of these
+factors its matrix: the caller computes the factor once with ``chol_psd``
+and passes it to every solve, log-determinant and evidence of that matrix.
+``psd_quad_diag`` takes the factor's inverse instead, which the caller forms
+once and keeps (``ssgp.SsgpPosterior.factor_inverse``), so a quadratic form
+costs only per-row work. A feature Gram Phi^T Phi is one node, ``gram``,
+whose adjoint is a single GEMM. A whole trigonometric feature map, damped or
+not, is one more fused primitive, ``trig_features``, whose node holds only
+its N x 2M output. It forms cosine and sine from one vectorized tangent of
+the half angle rather than from numpy's scalar libm ``cos`` and ``sin``,
+within 1.5 ulp of them.
 """
 
 from __future__ import annotations
@@ -472,7 +475,7 @@ def psd_solve(A, L, B):
     return _node(X, (A, B), (vjp_A, solved))
 
 
-def _tri_inverse(L):
+def tri_inverse(L):
     """L^-1 of a lower-triangular factor, from one LAPACK ``dtrtri``."""
     L_inv, info = dtrtri(L, lower=1)
     if info:
@@ -482,20 +485,20 @@ def _tri_inverse(L):
 
 def _psd_inverse(L):
     """A^-1 = L^-T L^-1 of A = L L^T, from one ``dtrtri``."""
-    L_inv = _tri_inverse(L)
+    L_inv = tri_inverse(L)
     return L_inv.T @ L_inv
 
 
-def psd_quad_diag(A, L, F):
-    """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given A = L L^T.
+def psd_quad_diag(A, L_inv, F):
+    """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given L^-1 for A = L L^T.
 
-    One ``dtrtri`` forms L^-1, and triangular multiplies by it give
-    V = L^-1 F^T and, for both adjoints, S = L^-T V = A^-1 F^T. F-bar = 2 g S^T,
-    laid out like F, is formed once and also gives A-bar = -(S g) S^T
-    = -F-bar^T S^T / 2. The value is the column sums of V^2, so it is
-    nonnegative by construction whatever the rounding in L^-1.
+    The caller forms L^-1 once with :func:`tri_inverse` and keeps it, so no
+    call inverts anything. Triangular multiplies by it give V = L^-1 F^T and,
+    for both adjoints, S = L^-T V = A^-1 F^T. F-bar = 2 g S^T, laid out like
+    F, is formed once and also gives A-bar = -(S g) S^T = -F-bar^T S^T / 2.
+    The value is the column sums of V^2, so it is nonnegative by
+    construction whatever the rounding in L^-1.
     """
-    L_inv = _tri_inverse(L)
     V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
 

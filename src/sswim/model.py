@@ -16,14 +16,19 @@ variance from the draws and theta, unfitted. A model is therefore in one of
 two states, assembled from its theta and unfitted (from ``build_model`` or
 ``apply_parameters``), or fitted at its theta (after ``objective``,
 ``value_and_gradient`` or ``load``), and never stale. A fit returns new
-objects and mutates none, so a candidate theta is evaluated on a shallow
-copy, ``apply_parameters(replace(model), theta)``, and no model is ever
-reverted. One assembly routine serves both modes: handed the theta array it
-produces a plain numpy model, handed a tape tensor a traced one, so the
-gradient differentiates exactly the arithmetic the plain objective runs.
-Every Gram is factored exactly once per evaluation. Prediction is
-row-separable and walks a batch in fixed chunks of PREDICT_CHUNK_ROWS rows,
-so its temporaries do not grow with the batch.
+objects and mutates none, so ``train`` evaluates a candidate theta on a
+shallow copy that carries it, ``replace(model, theta=candidate)``:
+``value_and_gradient`` assembles the traced structures from that theta
+alone and installs the fit, so the copy's old stack, bases and posterior
+are never read and no model is ever reverted. One assembly routine serves both modes: handed
+the theta array it produces a plain numpy model, handed a tape tensor a
+traced one, so the gradient differentiates exactly the arithmetic the plain
+objective runs. Every Gram is factored exactly once per evaluation.
+Prediction is row-separable and walks a batch in fixed chunks of
+PREDICT_CHUNK_ROWS rows, so its temporaries do not grow with the batch. A
+fitted or loaded model's first prediction inverts each of its 2 * depth + 1
+Cholesky factors once, and each posterior keeps its inverse, so later
+predictions and chunks pay only per-row work.
 
 ``save`` writes a fitted model as a version-3 JSON document holding each fact
 once: a few JSON scalars, and theta, the frequency draws and the top

@@ -10,8 +10,11 @@ regularized feature Gram
 
 with Phi^T Phi one tape node (``ad.gram``), whose Cholesky factor, computed
 once per fit and kept on the posterior, backs every solve, predictive
-variance and log-determinant. The one explicit inverse is A^-1 in the
-evidence's gradient, formed from the factor.
+variance and log-determinant. A predictive variance multiplies by the
+factor's inverse, which the posterior forms on its first prediction and
+keeps (``SsgpPosterior.factor_inverse``), so later predictions pay only
+per-row work. The one other explicit inverse is A^-1 in the evidence's
+gradient, formed from the factor.
 Multiple output columns share one factorization and a single noise
 variance, giving each output the same scalar predictive variance.
 
@@ -35,6 +38,7 @@ objective reuses them unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +58,15 @@ class SsgpPosterior:
     noise_var: object  # observation noise variance
     gram: object  # (2M, 2M) the Gram A, the tape node traced solves differentiate
     proj_y: object  # (2M,) or (2M, P) b = Phi^T Y
+
+    @cached_property
+    def factor_inverse(self) -> np.ndarray:
+        """L^-1 of ``A_factor``, formed by one ``dtrtri`` on first use and kept.
+
+        Not a field: ``dataclasses.replace`` and ``fields`` do not see it, so
+        a copied posterior forms its own and ``model.save`` never writes it.
+        """
+        return ad.tri_inverse(self.A_factor)
 
 
 def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
@@ -104,8 +117,9 @@ def predict(post: SsgpPosterior, feat):
     expected features for Gaussian inputs. The variance is
     noise_var * feat.(A^-1 feat), shared by all output columns, from one
     triangular multiply by the inverse of the posterior's factor
-    (``ad.psd_quad_diag``). It excludes the observation noise, which a caller
+    (``ad.psd_quad_diag``), which the posterior's first prediction forms and
+    later ones reuse. It excludes the observation noise, which a caller
     adds for the variance of a new observation (as ``model.predict_f`` does).
     """
     mean = feat @ post.alpha
-    return mean, post.noise_var * ad.psd_quad_diag(post.gram, post.A_factor, feat)
+    return mean, post.noise_var * ad.psd_quad_diag(post.gram, post.factor_inverse, feat)

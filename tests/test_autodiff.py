@@ -222,7 +222,7 @@ def dispatch_cases():
         "sum_": (ad.sum_, (x,)),
         "take": (lambda a: ad.take(a, np.array([2, 0, 2])), (x,)),
         "psd_solve": (lambda a, b: ad.psd_solve(a, L, b), (A, y.T)),
-        "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, L, f), (A, x)),
+        "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, ad.tri_inverse(L), f), (A, x)),
         "psd_logdet": (lambda a: ad.psd_logdet(a, L), (A,)),
         "gaussian_evidence": (
             lambda a, b, s: ad.gaussian_evidence(a, L, 1.3, b, y[1], s, x[:, 0]),
@@ -321,8 +321,8 @@ def test_backward_skips_constant_leaves():
     L = np.linalg.cholesky(A)
 
     def f(t):
-        return (ad.sum_(c * ad.exp(x * t)) + ad.sum_(ad.psd_quad_diag(A, L, x * t))
-                + ad.sum_(x @ t))
+        return (ad.sum_(c * ad.exp(x * t))
+                + ad.sum_(ad.psd_quad_diag(A, ad.tri_inverse(L), x * t)) + ad.sum_(x @ t))
 
     t = ad.Tensor(rng.standard_normal(3))
     out = f(t)
@@ -380,7 +380,7 @@ def test_backward_frees_what_the_vjps_captured():
     rng = np.random.default_rng(31)
     A = spd(rng, 4)
     t = ad.Tensor(rng.standard_normal((6, 4)))
-    quad = ad.psd_quad_diag(A, ad.chol_psd(A), t)
+    quad = ad.psd_quad_diag(A, ad.tri_inverse(ad.chol_psd(A)), t)
     out = ad.sum_(quad)
     # V = L^-1 F^T and L^-1 live only in the VJPs' closures, not on the tape
     on_tape = {id(n.value) for n in ad._topo_order(out)}
@@ -486,29 +486,29 @@ def test_psd_quad_diag_matches_dense():
     rng = np.random.default_rng(18)
     for rows, n in ((7, 5), (400, 6)):  # a short batch and a tall one, rows >> n
         A = spd(rng, n)
-        L = ad.chol_psd(A)
+        L_inv = ad.tri_inverse(ad.chol_psd(A))
         F = rng.standard_normal((rows, n))
         want = np.diag(F @ np.linalg.inv(A) @ F.T)
-        np.testing.assert_allclose(ad.psd_quad_diag(A, L, F), want, rtol=1e-12)
-        assert ad.psd_quad_diag(A, L, F[2]) == pytest.approx(want[2], rel=1e-12)
-        traced = ad.psd_quad_diag(ad.Tensor(A), L, ad.Tensor(F)).value
-        assert np.array_equal(traced, ad.psd_quad_diag(A, L, F))
+        np.testing.assert_allclose(ad.psd_quad_diag(A, L_inv, F), want, rtol=1e-12)
+        assert ad.psd_quad_diag(A, L_inv, F[2]) == pytest.approx(want[2], rel=1e-12)
+        traced = ad.psd_quad_diag(ad.Tensor(A), L_inv, ad.Tensor(F)).value
+        assert np.array_equal(traced, ad.psd_quad_diag(A, L_inv, F))
 
 
 def test_psd_quad_diag_gradients():
     rng = np.random.default_rng(19)
     A = spd(rng, 4)
-    L = ad.chol_psd(A)
+    L_inv = ad.tri_inverse(ad.chol_psd(A))
 
     def quad_sym(t, F):
         sym = ad.multiply(0.5, ad.add(t, ad.transpose(t)))
-        return ad.psd_quad_diag(sym, ad.chol_psd(sym), F)
+        return ad.psd_quad_diag(sym, ad.tri_inverse(ad.chol_psd(sym)), F)
 
     for F, proj in ((rng.standard_normal((6, 4)), rng.standard_normal(6)),
                     (rng.standard_normal(4), np.array(1.3))):
         check_scalarized(lambda t, F=F, p=proj: scalarize(quad_sym(t, F), p), A,
                          rtol=1e-5, atol=1e-7)
-        check_scalarized(lambda t, p=proj: scalarize(ad.psd_quad_diag(A, L, t), p), F)
+        check_scalarized(lambda t, p=proj: scalarize(ad.psd_quad_diag(A, L_inv, t), p), F)
 
 
 def test_psd_logdet_value_and_gradient():

@@ -18,7 +18,9 @@ SMALL = {
     "gramacy_tall": dict(n=300, M=8, n_pseudo=8, n_predict=200),
 }
 OUTPUTS = {"built objective", "built gradient", "train trace", "trained theta",
-           "predict_f mean", "predict_f variance", "saved document",
+           "predict_f mean", "predict_f variance",
+           "repeat predict_f mean", "repeat predict_f variance", "saved document",
+           "point predict_f mean", "point predict_f variance",
            "loaded predict_f mean", "loaded predict_f variance", "loaded objective"}
 
 

@@ -382,6 +382,37 @@ def test_train_saves_byte_identical_models_on_rerun(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
+def test_train_from_a_manifest(tmp_path):
+    # a generated CSV with a constant column, a column the manifest drops and
+    # a positive target it log1p-transforms runs the dataset path to success
+    rng = np.random.default_rng(5)
+    n = 30
+    x = rng.uniform(-1, 1, (n, 6))
+    columns = {f"x{j}": x[:, j] for j in range(6)}
+    columns |= {"flat": np.full(n, 2.5), "id": np.arange(n),
+                "strength": np.exp(np.sin(x).sum(axis=1))}
+    rows = np.column_stack(list(columns.values()))
+    np.savetxt(tmp_path / "mix.csv", rows, delimiter=",", header=",".join(columns), comments="")
+    manifest = tmp_path / "mix.manifest"
+    manifest.write_text("path = mix.csv\ntarget = strength\n"
+                        "drop_columns = id\ntarget_transform = log1p\n")
+    for run in ("first", "second"):
+        with pytest.warns(UserWarning, match=r"dropping constant column\(s\) \['flat'\]"):
+            code = main(["train", "--manifest", str(manifest), "--depth", "1", "--M", "4",
+                         "--M-w", "3", "--n-pseudo", "3", "--steps", "2", "--repeats", "1",
+                         "--seed", "0", "--output-dir", str(tmp_path / run)])
+        assert code == 0
+    rows = read_rows(tmp_path / "first" / "mix_train_report.csv")
+    assert [r["repeat"] for r in rows] == ["0", "mean", "std"]
+    assert all(r["dataset"] == "mix" for r in rows)
+    assert all(np.isfinite(float(r[key])) for r in rows for key in ("rmse", "mnlp"))
+    first, second = (tmp_path / run / "mix_depth1_repeat0.model.json"
+                     for run in ("first", "second"))
+    assert first.read_bytes() == second.read_bytes()
+    model = load(first)
+    assert model.input_dim == 6 and model.depth == 1
+
+
 def test_gen_synthetic(tmp_path, capsys):
     out = tmp_path / "chirp.csv"
     assert main(["gen-synthetic", "--kind", "steps_chirp_1d", "--n", "25",

@@ -407,6 +407,46 @@ def test_one_factorization_per_gram(tmp_path, monkeypatch):
     assert count(load, path)[0] == 2 * model.depth
 
 
+def test_one_triangular_inverse_per_posterior(tmp_path, monkeypatch):
+    # a posterior inverts its factor on its first prediction and keeps the
+    # inverse; a held or saved model carries no inverse as a field
+    x, y = toy_data(24, n=12, d=2)
+    calls = []
+    inverse = ad.dtrtri
+
+    def counting(L, **kwargs):
+        calls.append(1)
+        return inverse(L, **kwargs)
+
+    monkeypatch.setattr(ad, "dtrtri", counting)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        out = fn(*args, **kwargs)
+        return len(calls), out
+
+    n_built, model = count(build_model, x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=16)
+    assert n_built == 0
+    n_posteriors = 1 + 2 * model.depth
+    assert count(apply_parameters, model, model.theta + 0.01)[0] == 0
+    # one per warp variance on the tape and the top evidence's A^-1
+    assert count(value_and_gradient, model, x, y)[0] == n_posteriors
+    before = save(model, tmp_path / "before.json").read_bytes()
+    n_first, first = count(predict_f, model, x)
+    n_again, again = count(predict_f, model, x)
+    assert (n_first, n_again) == (n_posteriors, 0)
+    for cached, uncached in zip(again, first):
+        assert np.array_equal(cached, uncached)
+    path = save(model, tmp_path / "after.json")
+    assert path.read_bytes() == before
+    n_loaded, loaded = count(load, path)
+    assert n_loaded == 0
+    assert count(predict_f, loaded, x)[0] == n_posteriors
+    assert count(predict_f, loaded, x)[0] == 0
+    assert [f.name for f in fields(ssgp.SsgpPosterior)] == [
+        "alpha", "A_factor", "noise_var", "gram", "proj_y"]
+
+
 @pytest.mark.parametrize("depth, limit", [(0, 25), (1, 99)])
 def test_tape_nodes_per_gradient_at_the_chirp_shape(depth, limit, monkeypatch):
     # test_07's shape: each fit's Gram is one node and the top evidence
@@ -481,7 +521,8 @@ def test_one_row_sized_solve_per_predictive_variance(monkeypatch):
 
 def test_one_row_sized_product_per_predictive_variance_and_chunk(monkeypatch):
     # two full chunks and a 12-row tail are three passes, each taking the
-    # 2 * depth + 1 products and inverses of one pass, all chunk-sized
+    # 2 * depth + 1 products of one pass, all chunk-sized; the posteriors'
+    # factors are inverted once, in the first chunk, and never again
     x, y = toy_data(25, n=12, d=2)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
     objective(model, x, y)
@@ -501,8 +542,13 @@ def test_one_row_sized_product_per_predictive_variance_and_chunk(monkeypatch):
     predict_f(model, xs)
     chunks = [PREDICT_CHUNK_ROWS, PREDICT_CHUNK_ROWS, 12]
     assert calls["trmm"] == [rows for rows in chunks for _ in range(n_variances)]
-    assert len(calls["trtri"]) == len(chunks) * n_variances
+    assert len(calls["trtri"]) == n_variances
     assert calls["cho"] == []
+    for name in calls:
+        calls[name].clear()
+    predict_f(model, xs)
+    assert calls["trmm"] == [rows for rows in chunks for _ in range(n_variances)]
+    assert calls["trtri"] == [] and calls["cho"] == []
 
 
 # -- prediction --------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sswim.autodiff as ad
+import sswim.model as model_module
 from sswim.data import Dataset, split, standardize
 from sswim.metrics import rmse
 from sswim.model import apply_parameters, build_model, objective, predict_f
@@ -140,6 +141,22 @@ def test_ending_on_an_earlier_best_step_costs_no_forward_pass(forward_passes):
     assert trace.best_step < 4 and trace.final_learning_rate == 0.05  # no step rejected
     assert len(forward_passes) == 1 + 4
     assert objective(model, x, y) == trace.best_objective
+
+
+def test_each_evaluation_assembles_once(monkeypatch):
+    # a candidate is a copy carrying its theta; only value_and_gradient
+    # assembles, once per evaluation: the initial one and one per step
+    x, y = sine_data(4, n=30)
+    calls, assemble = [], model_module._assemble
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    model = small_model(x, seed=4)
+    monkeypatch.setattr(model_module, "_assemble", counting)
+    _, trace = train(model, x, y, TrainConfig(steps=2))
+    assert trace.rejected == [] and len(calls) == 3
 
 
 def array_digest(x, h=None):
