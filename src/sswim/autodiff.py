@@ -17,16 +17,19 @@ one dispatch point: with no ``Tensor`` among the inputs it returns the plain
 numpy value, otherwise a tape node over the inputs. This lets the model code
 be written once and executed either way, with bit-identical values.
 
-Linear algebra goes through four primitives: ``psd_solve``, ``psd_quad_diag``
-(the row-wise quadratic forms behind a predictive variance), ``psd_logdet``
-and ``gaussian_evidence`` (the whole negative log evidence of a Bayesian
-linear regression, one node over its Gram, its projected targets and its
-noise variance). The first runs triangular solves; the others multiply by
-the factor's triangular inverse, ``tri_inverse`` (one LAPACK ``dtrtri``),
-which over many rows runs near GEMM speed. The Cholesky factorization itself
-is LAPACK ``dpotrf`` and is never differentiated through. None of these
-factors its matrix: the caller computes the factor once with ``chol_psd``
-and passes it to every solve, log-determinant and evidence of that matrix.
+Linear algebra goes through three tape primitives: ``psd_solve``,
+``psd_quad_diag`` (the row-wise quadratic forms behind a predictive
+variance) and ``gaussian_evidence`` (the whole negative log evidence of a
+Bayesian linear regression, one node over its Gram, its projected targets
+and its noise variance). The first runs triangular solves; the others
+multiply by the factor's triangular inverse, ``tri_inverse`` (one LAPACK
+``dtrtri``), which over many rows runs near GEMM speed. ``psd_logdet`` is
+a plain value read off the factor's diagonal: the evidence takes log|A| as
+a value and folds its gradient, A^-1, into its own adjoint. The Cholesky
+factorization itself is LAPACK ``dpotrf`` and is never differentiated
+through. None of these factors its matrix: the caller computes the factor
+once with ``chol_psd`` and passes it to every solve, log-determinant and
+evidence of that matrix.
 ``psd_quad_diag`` takes the factor's inverse instead, which the caller forms
 once and keeps (``ssgp.SsgpPosterior.factor_inverse``), so a quadratic form
 costs only per-row work. A feature Gram Phi^T Phi is one node, ``gram``,
@@ -107,12 +110,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return add(self, negative(other))
-
-    def __rsub__(self, other):
-        return add(other, negative(self))
-
     def __mul__(self, other):
         return multiply(self, other)
 
@@ -124,14 +121,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return divide(other, self)
 
-    def __neg__(self):
-        return negative(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     # -- reverse pass -------------------------------------------------------
 
@@ -231,21 +222,12 @@ def divide(a, b):
     ))
 
 
-def negative(a):
-    return _node(-_as_value(a), (a,), (lambda g: -g,))
-
-
 # -- elementwise unary ops --------------------------------------------------
 
 
 def exp(a):
     out = np.exp(_as_value(a))
     return _node(out, (a,), (lambda g: g * out,))
-
-
-def log(a):
-    av = _as_value(a)
-    return _node(np.log(av), (a,), (lambda g: g / av,))
 
 
 # -- trigonometric features -------------------------------------------------
@@ -383,12 +365,6 @@ def expand_last(a):
     return reshape(a, np.shape(a) + (1,))
 
 
-def sum_(a):
-    """Sum of all entries."""
-    av = _as_value(a)
-    return _node(np.sum(av), (a,), (lambda g: np.broadcast_to(g, av.shape).copy(),))
-
-
 def take(a, idx):
     av = _as_value(a)
 
@@ -483,12 +459,6 @@ def tri_inverse(L):
     return L_inv
 
 
-def _psd_inverse(L):
-    """A^-1 = L^-T L^-1 of A = L L^T, from one ``dtrtri``."""
-    L_inv = tri_inverse(L)
-    return L_inv.T @ L_inv
-
-
 def psd_quad_diag(A, L_inv, F):
     """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given L^-1 for A = L L^T.
 
@@ -516,11 +486,9 @@ def psd_quad_diag(A, L_inv, F):
     return _node(out, (A, F), (vjp_A, lambda g: shared(g)[1]))
 
 
-def psd_logdet(A, L):
-    """log-determinant of a symmetric positive-definite A with Cholesky factor L."""
-    out = 2.0 * np.sum(np.log(np.diag(L)))
-    # the gradient of log|A| is A^-1 itself
-    return _node(out, (A,), (lambda g: g * _psd_inverse(L),))
+def psd_logdet(L):
+    """log|A| of a symmetric positive-definite A = L L^T, a plain value (not a tape node)."""
+    return 2.0 * np.sum(np.log(np.diag(L)))
 
 
 def gaussian_evidence(A, L, logdet, b, alpha, noise_var, y):
@@ -549,8 +517,9 @@ def gaussian_evidence(A, L, logdet, b, alpha, noise_var, y):
     out = 0.5 * quad / nv + n_outputs * per_output
 
     def vjp_A(g):
+        L_inv = tri_inverse(L)  # A^-1 = L^-T L^-1
         a2 = av.reshape(n_feat, -1)
-        return 0.5 * g * (n_outputs * _psd_inverse(L) + (a2 @ a2.T) / nv)
+        return 0.5 * g * (n_outputs * (L_inv.T @ L_inv) + (a2 @ a2.T) / nv)
 
     return _node(out, (A, b, noise_var), (
         vjp_A,

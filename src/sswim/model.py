@@ -10,20 +10,22 @@ hyperparameter and every pseudo-training pair.
 A model is its frozen frequency draws (``model.draws``, drawn once at
 build time) plus a flat parameter vector ``model.theta`` with a fixed
 segment schema; positive quantities live in theta as logarithms.
-:func:`apply_parameters` is the one place theta becomes structures: it
-installs theta and assembles the warp stack, top basis and top noise
-variance from the draws and theta, unfitted. A model is therefore in one of
-two states, assembled from its theta and unfitted (from ``build_model`` or
-``apply_parameters``), or fitted at its theta (after ``objective``,
-``value_and_gradient`` or ``load``), and never stale. A fit returns new
-objects and mutates none, so ``train`` evaluates a candidate theta on a
-shallow copy that carries it, ``replace(model, theta=candidate)``:
-``value_and_gradient`` assembles the traced structures from that theta
-alone and installs the fit, so the copy's old stack, bases and posterior
-are never read and no model is ever reverted. One assembly routine serves both modes: handed
-the theta array it produces a plain numpy model, handed a tape tensor a
-traced one, so the gradient differentiates exactly the arithmetic the plain
-objective runs. Every Gram is factored exactly once per evaluation.
+Everything else is derived from those two. A model is in one of two states:
+unfitted, holding theta alone (from ``build_model`` or
+:func:`apply_parameters`, which installs theta and clears the fitted
+fields), or fitted at its theta, holding the fitted warp stack, top basis,
+top noise variance and top posterior (after ``objective``,
+``value_and_gradient`` or ``load``). It is never stale: ``apply_parameters``
+is the one place the fitted fields are cleared and ``_install`` the one
+place they are written. Every evaluation assembles its structures from the
+draws and theta (``_assemble``, inside ``_forward``) and reads nothing the
+model held before. A fit returns new objects and mutates none, so ``train``
+evaluates a candidate theta on a shallow copy that carries it,
+``replace(model, theta=candidate)``, and no model is ever reverted. One
+assembly routine serves both modes: handed the theta array it produces a
+plain numpy model, handed a tape tensor a traced one, so the gradient
+differentiates exactly the arithmetic the plain objective runs. Every Gram
+is factored exactly once per evaluation.
 Prediction is row-separable and walks a batch in fixed chunks of
 PREDICT_CHUNK_ROWS rows, so its temporaries do not grow with the batch. A
 fitted or loaded model's first prediction inverts each of its 2 * depth + 1
@@ -74,7 +76,7 @@ class SswimModel:
     sigma_gamma: float
     seed: object
     theta: np.ndarray = None  # canonical flat parameter vector
-    # assembled from draws and theta by apply_parameters, fitted by an evaluation
+    # fitted at theta by an evaluation or load (_install); None while unfitted
     stack: WarpStack = None
     top_basis: SpectralBasis = None
     top_noise_var: object = None
@@ -82,11 +84,11 @@ class SswimModel:
 
     @property
     def input_dim(self):
-        return self.top_basis.D
+        return self.draws["top"].shape[1]
 
     @property
     def depth(self):
-        return self.stack.depth
+        return len(self.draws) // 2  # a top draw and two per layer
 
 
 def _build_schema(d, n_layers, n_pseudo):
@@ -122,7 +124,8 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
     top-level M and lengthscale. Pseudo inputs are drawn uniformly over
     the box of ``x_train``; pseudo targets start near the identity warp
     with spread ``sigma_gamma``. Sampling is derived deterministically from
-    ``seed``. The structures are derived from theta; nothing is fitted.
+    ``seed``. The model is unfitted: it holds theta alone, and nothing is
+    assembled or fitted until it is evaluated.
     """
     x_train = np.asarray(x_train, dtype=float)
     if x_train.ndim != 2:
@@ -158,13 +161,13 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
-    """Validate and install a flat parameter vector and assemble the model from it.
+    """Validate and install a flat parameter vector, leaving the model unfitted.
 
-    The stack, top basis and top noise variance are rebuilt from the frozen
-    draws and the new theta, and the top posterior is dropped: the model is
-    assembled and unfitted until the next :func:`objective` or
-    :func:`value_and_gradient`. Only the model's fields are rebound, so
-    applying to a shallow copy leaves the original as it was.
+    The stack, top basis, top noise variance and top posterior are cleared,
+    since they belonged to the old theta; nothing is assembled or fitted
+    until the next :func:`objective` or :func:`value_and_gradient` derives
+    them from the draws and the new theta. Only the model's fields are
+    rebound, so applying to a shallow copy leaves the original as it was.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.schema[-1].stop,):
@@ -172,8 +175,7 @@ def apply_parameters(model: SswimModel, values) -> SswimModel:
                          f"schema expects ({model.schema[-1].stop},)")
     ad.check_finite(values, "parameter vector")
     model.theta = values.copy()
-    model.stack, model.top_basis, model.top_noise_var = _assemble(model, model.theta)
-    model.top_post = None
+    model.stack = model.top_basis = model.top_noise_var = model.top_post = None
     return model
 
 
@@ -200,7 +202,7 @@ def _assemble(model: SswimModel, theta):
                         seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
                         seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
                         seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"))
-              for j in range(len(model.draws) // 2)]  # a top draw and two per layer
+              for j in range(model.depth)]
     return WarpStack(layers), basis("top"), seg("top.noise_var")
 
 
@@ -215,8 +217,9 @@ def _fit_warps(stack: WarpStack) -> WarpStack:
     return WarpStack(layers)
 
 
-def _forward(stack, top_basis, top_noise, x, y):
-    """Objective of assembled structures plus the fitted (stack, top_basis, top_noise, post)."""
+def _forward(model: SswimModel, theta, x, y):
+    """Objective at theta, plain or traced, plus the fitted (stack, top_basis, top_noise, post)."""
+    stack, top_basis, top_noise = _assemble(model, theta)
     stack = _fit_warps(stack)
     gi = propagate(stack, x)
     try:
@@ -242,18 +245,19 @@ def _detach(x):
 
 
 def _install(model: SswimModel, fitted):
-    """Write a forward pass's (possibly traced) results back as numpy caches."""
+    """Write fitted (possibly traced) structures as numpy values; the one writer of them."""
     model.stack, model.top_basis, model.top_noise_var, model.top_post = _detach(fitted)
 
 
 def objective(model: SswimModel, x, y) -> float:
     """Joint negative log evidence at the model's current parameters.
 
-    Side effect: refits every warp posterior and the top posterior, leaving
-    the model fitted at its theta and ready for prediction.
+    Side effect: assembles the model from its draws and theta and fits every
+    warp posterior and the top posterior, leaving the model fitted at its
+    theta and ready for prediction.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value, fitted = _forward(model.stack, model.top_basis, model.top_noise_var, x, y)
+    value, fitted = _forward(model, model.theta, x, y)
     _install(model, fitted)
     return float(value)
 
@@ -265,7 +269,7 @@ def value_and_gradient(model: SswimModel, x, y):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     theta_t = ad.Tensor(model.theta)
-    value, fitted = _forward(*_assemble(model, theta_t), x, y)
+    value, fitted = _forward(model, theta_t, x, y)
     ad.check_finite(value, "objective")
     value.backward()
     grad = theta_t.grad if theta_t.grad is not None else np.zeros_like(model.theta)
@@ -451,19 +455,19 @@ def _from_document(doc) -> SswimModel:
         raise ValueError(f"theta has shape {theta.shape}; base_draws and n_pseudo {n_pseudo} "
                          f"give ({size},)")
     alpha, factor = _top_posterior(_required(doc, "top_posterior"), 2 * m)
-    model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
+    model = apply_parameters(SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed), theta)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
-            apply_parameters(model, theta)
-            model.stack = _detach(_fit_warps(model.stack))  # held fits keep no Gram
+            stack, top, top_noise = _assemble(model, model.theta)
+            stack = _fit_warps(stack)
             # only the warp layers are refit, so a top-level overflow shows nowhere else
-            top = model.top_basis
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
-                                ("noise variance", model.top_noise_var)):
+                                ("noise variance", top_noise)):
                 ad.check_finite(value, f"the top level's {what}")
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise ValueError(f"theta does not give a fittable model: {e}") from None
-    model.top_post = ssgp.SsgpPosterior(alpha, factor, model.top_noise_var, gram=None, proj_y=None)
+    post = ssgp.SsgpPosterior(alpha, factor, top_noise, gram=None, proj_y=None)
+    _install(model, (stack, top, top_noise, post))
     return model
 
 

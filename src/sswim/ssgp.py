@@ -26,8 +26,9 @@ The negative log evidence uses the weight-space identity
 with b = Phi^T y and F the feature count, which equals the dense N x N
 Gaussian log-density exactly (up to factorization round-off). It reads the
 data only through (A, b, y.y), and it is one tape node over (A, b,
-noise_var), ``ad.gaussian_evidence``, with ``ad.psd_logdet`` giving the
-value of log|A|. N and y.y are read from the targets, which
+noise_var), ``ad.gaussian_evidence``, which takes log|A| as a plain value
+from the factor (``ad.psd_logdet``) and folds its gradient into its own
+adjoint. N and y.y are read from the targets, which
 ``posterior_nlml`` takes next to the posterior; the posterior keeps only
 what prediction and that one evidence call read.
 
@@ -103,9 +104,9 @@ def posterior_nlml(post: SsgpPosterior, y):
     multi-column targets this is the sum over the independent outputs, which
     share the Gram and its determinant. The evidence is one tape node over
     the Gram, ``proj_y`` and the noise variance (``ad.gaussian_evidence``),
-    which takes log|A| as the value of ``ad.psd_logdet``.
+    which takes log|A| as the plain value ``ad.psd_logdet`` reads off the factor.
     """
-    logdet = ad.psd_logdet(ad._as_value(post.gram), post.A_factor)
+    logdet = ad.psd_logdet(post.A_factor)
     return ad.gaussian_evidence(post.gram, post.A_factor, logdet, post.proj_y, post.alpha,
                                 post.noise_var, y)
 

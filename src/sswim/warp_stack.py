@@ -26,10 +26,6 @@ class WarpStack:
         if len(dims) > 1:
             raise ValueError(f"warp layers disagree on dimensionality: {sorted(dims)}")
 
-    @property
-    def depth(self):
-        return len(self.layers)
-
 
 def propagate(stack: WarpStack, x) -> GaussianInput:
     """Push a point (or batch of points) through every layer in order."""

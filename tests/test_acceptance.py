@@ -181,8 +181,8 @@ def test_06_depth_zero_reduces_to_stationary_baseline():
             start, stop, shape = segments[name]
             return ad.exp(ad.reshape(ad.take(theta_t, slice(start, stop)), shape))
 
-        basis = SpectralBasis(model.top_basis.family, model.top_basis.M,
-                              model.top_basis.D, model.top_basis.base_draws,
+        draws = model.draws["top"]
+        basis = SpectralBasis(model.family, *draws.shape, draws,
                               seg("top.lengthscales"), seg("top.amplitude"))
         post = ssgp.fit_from_features(basis, feature_map(basis, x), y,
                                       seg("top.noise_var"))

@@ -382,9 +382,9 @@ def test_train_saves_byte_identical_models_on_rerun(tmp_path):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_train_from_a_manifest(tmp_path):
-    # a generated CSV with a constant column, a column the manifest drops and
-    # a positive target it log1p-transforms runs the dataset path to success
+def mix_manifest(tmp_path):
+    """A generated 30-row CSV and its manifest: six inputs, a constant column,
+    a column the manifest drops and a positive target it log1p-transforms."""
     rng = np.random.default_rng(5)
     n = 30
     x = rng.uniform(-1, 1, (n, 6))
@@ -396,11 +396,21 @@ def test_train_from_a_manifest(tmp_path):
     manifest = tmp_path / "mix.manifest"
     manifest.write_text("path = mix.csv\ntarget = strength\n"
                         "drop_columns = id\ntarget_transform = log1p\n")
+    return manifest
+
+
+DROPS_FLAT = r"dropping constant column\(s\) \['flat'\]"
+TINY = ["--M", "4", "--M-w", "3", "--n-pseudo", "3", "--steps", "2", "--repeats", "1",
+        "--seed", "0"]
+
+
+def test_train_from_a_manifest(tmp_path):
+    # the dataset path runs to success on the generated CSV
+    manifest = mix_manifest(tmp_path)
     for run in ("first", "second"):
-        with pytest.warns(UserWarning, match=r"dropping constant column\(s\) \['flat'\]"):
-            code = main(["train", "--manifest", str(manifest), "--depth", "1", "--M", "4",
-                         "--M-w", "3", "--n-pseudo", "3", "--steps", "2", "--repeats", "1",
-                         "--seed", "0", "--output-dir", str(tmp_path / run)])
+        with pytest.warns(UserWarning, match=DROPS_FLAT):
+            code = main(["train", "--manifest", str(manifest), "--depth", "1", *TINY,
+                         "--output-dir", str(tmp_path / run)])
         assert code == 0
     rows = read_rows(tmp_path / "first" / "mix_train_report.csv")
     assert [r["repeat"] for r in rows] == ["0", "mean", "std"]
@@ -411,6 +421,47 @@ def test_train_from_a_manifest(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     model = load(first)
     assert model.input_dim == 6 and model.depth == 1
+
+
+def test_sweeps_trace_and_export_from_a_manifest(tmp_path):
+    # every subcommand that reads a dataset runs on the manifest's CSV, and
+    # export-warp runs on the model trained from it; a rerun writes the same bytes
+    manifest = mix_manifest(tmp_path)
+    grid = ",".join(["-1:1:2"] * 6)
+    for run in ("first", "second"):
+        out = str(tmp_path / run)
+        for command in (["sweep-depth", "--depths", "0,1"], ["overfit-trace"],
+                        ["train", "--depth", "1"]):
+            with pytest.warns(UserWarning, match=DROPS_FLAT):
+                assert main([*command, "--manifest", str(manifest), *TINY,
+                             "--output-dir", out]) == 0
+        assert main(["export-warp", "--model", f"{out}/mix_depth1_repeat0.model.json",
+                     f"--grid={grid}", "--output-dir", out]) == 0
+    first, second = tmp_path / "first", tmp_path / "second"
+    outputs = sorted(p.name for p in first.iterdir())
+    assert outputs == ["mix_depth1_repeat0.model.json", "mix_depth1_repeat0_pseudo.csv",
+                       "mix_depth1_repeat0_warp_grid.csv", "mix_overfit_trace.csv",
+                       "mix_sweep_depth.csv", "mix_train_report.csv"]
+    assert sorted(p.name for p in second.iterdir()) == outputs
+    for name in outputs:
+        if name == "mix_train_report.csv":  # its wall_seconds is a timing
+            untimed = [[{k: v for k, v in r.items() if k != "wall_seconds"} for r in rows]
+                       for rows in (read_rows(first / name), read_rows(second / name))]
+            assert untimed[0] == untimed[1]
+            continue
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    sweep = read_rows(first / "mix_sweep_depth.csv")
+    assert [(r["depth"], r["repeat"]) for r in sweep] == [("0", "0"), ("1", "0"), ("0", "check0")]
+    trace = read_rows(first / "mix_overfit_trace.csv")
+    assert [(r["repeat"], r["step"]) for r in trace] == [("0", "1"), ("0", "2")]
+    for rows, keys in ((sweep, ("rmse", "mnlp")),
+                       (trace, ("objective", "test_rmse", "test_mnlp"))):
+        assert all(np.isfinite(float(r[key])) for r in rows for key in keys)
+    warp_grid = read_rows(first / "mix_depth1_repeat0_warp_grid.csv")
+    assert len(warp_grid) == 2 ** 6 and len(warp_grid[0]) == 3 * 6 + 2
+    assert all(np.isfinite(float(v)) for r in warp_grid for v in r.values())
+    assert len(read_rows(first / "mix_depth1_repeat0_pseudo.csv")) == 2 * 3  # g and h, one layer
 
 
 def test_gen_synthetic(tmp_path, capsys):

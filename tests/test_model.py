@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import sswim.autodiff as ad
+import sswim.model as model_module
 from sswim import ssgp
 from sswim.features import SpectralBasis, expected_feature_map, feature_map
 from sswim.model import (PREDICT_CHUNK_ROWS, apply_parameters, build_model, fd_gradient, load,
@@ -99,15 +100,21 @@ def test_pack_apply_round_trip():
     np.testing.assert_array_equal(model.theta, perturbed)
 
 
+FITTED_FIELDS = ("stack", "top_basis", "top_noise_var", "top_post")
+
+
 def test_apply_parameters_assembles_the_model_from_theta():
+    # apply_parameters installs theta and clears the fit; the next objective
+    # assembles every structure from the draws and that theta
     x, y = toy_data(3, n=12, d=2)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=6)
     objective(model, x, y)
     before = replace(model)
     theta = model.theta + 0.05 * np.cos(np.arange(model.theta.size))
-    apply_parameters(model, theta)  # no evaluation follows
+    apply_parameters(model, theta)
+    assert all(getattr(model, name) is None for name in FITTED_FIELDS)
+    value = objective(model, x, y)
     seg = {s.name: theta[s.start:s.stop].reshape(s.shape) for s in model.schema}
-    assert model.top_post is None
     top = model.top_basis
     np.testing.assert_array_equal(top.lengthscales, np.exp(seg["top.lengthscales"]))
     assert top.amplitude == np.exp(seg["top.amplitude"])
@@ -122,13 +129,52 @@ def test_apply_parameters_assembles_the_model_from_theta():
                                           np.exp(seg[f"layer{j}.{fn}.lengthscales"]))
             assert basis.base_draws is model.draws[f"layer{j}.{fn}"]
             assert getattr(layer, fn + "_noise_var") == np.exp(seg[f"layer{j}.{fn}.noise_var"])
-            assert getattr(layer, fn + "_post") is None
+            assert getattr(layer, fn + "_post") is not None
     # a shallow copy taken before keeps its fit at the old theta
     assert before.top_post is not None and before.stack.layers[0].g_post is not None
     assert not np.array_equal(before.stack.layers[0].Xg, model.stack.layers[0].Xg)
-    # the draws and theta alone determine the model
-    bare = replace(model, stack=None, top_basis=None, top_noise_var=None)
-    assert objective(apply_parameters(bare, theta), x, y) == objective(model, x, y)
+    # the draws and theta alone determine the model: a copy still holding
+    # the old fit evaluates the new theta to the same value
+    assert objective(replace(before, theta=theta), x, y) == value
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_unfitted_model_holds_theta_alone(depth):
+    x, y = toy_data(4, n=12, d=2)
+    model = build_model(x, n_layers=depth, M=4, M_w=3, n_pseudo=4, seed=6)
+    assert all(getattr(model, name) is None for name in FITTED_FIELDS)
+    assert (model.input_dim, model.depth) == (2, depth)
+    objective(model, x, y)
+    assert all(getattr(model, name) is not None for name in FITTED_FIELDS)
+    assert len(model.stack.layers) == depth and model.top_basis.D == 2
+    apply_parameters(model, model.theta + 0.01)
+    assert all(getattr(model, name) is None for name in FITTED_FIELDS)
+    assert (model.input_dim, model.depth) == (2, depth)
+
+
+def test_only_evaluations_and_load_assemble(tmp_path, monkeypatch):
+    x, y = toy_data(5, n=12, d=2)
+    calls, assemble = [], model_module._assemble
+
+    def counting(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(model_module, "_assemble", counting)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        out = fn(*args, **kwargs)
+        return len(calls), out
+
+    n_built, model = count(build_model, x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=6)
+    assert n_built == 0
+    assert count(apply_parameters, model, model.theta + 0.01)[0] == 0
+    assert count(objective, model, x, y)[0] == 1
+    assert count(value_and_gradient, model, x, y)[0] == 1
+    assert count(predict_f, model, x)[0] == 0
+    path = save(model, tmp_path / "model.json")
+    assert count(load, path)[0] == 1
 
 
 def test_schema_covers_expected_segments():
@@ -173,7 +219,7 @@ def test_build_model_accepts_seed_sequence():
     b = build_model(x, n_layers=1, M=4, M_w=3, n_pseudo=4,
                     seed=np.random.SeedSequence(5))
     np.testing.assert_array_equal(a.theta, b.theta)
-    np.testing.assert_array_equal(a.top_basis.base_draws, b.top_basis.base_draws)
+    np.testing.assert_array_equal(a.draws["top"], b.draws["top"])
 
 
 # -- objective ---------------------------------------------------------------
@@ -182,9 +228,10 @@ def test_build_model_accepts_seed_sequence():
 def test_objective_depth0_equals_plain_ssgp():
     x, y = toy_data(5, n=25)
     model = build_model(x, n_layers=0, M=8, seed=1)
+    value = objective(model, x, y)  # which leaves the top basis and noise on the model
     plain = ssgp.posterior_nlml(ssgp.fit_from_features(
         model.top_basis, feature_map(model.top_basis, x), y, model.top_noise_var), y)
-    assert objective(model, x, y) == plain
+    assert value == plain
 
 
 def test_objective_is_deterministic():
@@ -351,8 +398,8 @@ def plain_ssgp_value_and_grad(model, x, y):
         s = segments[name]
         return ad.exp(ad.reshape(ad.take(theta_t, slice(s.start, s.stop)), s.shape))
 
-    basis = SpectralBasis(model.top_basis.family, model.top_basis.M,
-                          model.top_basis.D, model.top_basis.base_draws,
+    draws = model.draws["top"]
+    basis = SpectralBasis(model.family, *draws.shape, draws,
                           seg("top.lengthscales"), seg("top.amplitude"))
     post = ssgp.fit_from_features(basis, feature_map(basis, x), y, seg("top.noise_var"))
     value = ssgp.posterior_nlml(post, y)
@@ -667,7 +714,6 @@ def test_fresh_model_holds_no_fit_and_assembles_what_load_does(tmp_path):
     x, y = toy_data(24, n=12, d=2)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=17)
     assert posteriors(model) == []
-    assert all(layer.g_post is None and layer.h_post is None for layer in model.stack.layers)
     fitted = replace(model)
     objective(fitted, x, y)
     clone = load(save(fitted, tmp_path / "model.json"))

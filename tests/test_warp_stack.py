@@ -107,7 +107,5 @@ def test_stack_rejects_mixed_dimensionality():
         WarpStack([layer(13, D=2), layer(14, D=3)])
 
 
-def test_depth_property_and_limit():
-    assert WarpStack([]).depth == 0
-    assert WarpStack([layer(15)]).depth == 1
+def test_depth_limit():
     assert MAX_DEPTH == 3
