@@ -7,9 +7,13 @@ leaf tensor (one with no parents, such as a parameter vector) that
 contributed to it. Intermediate nodes keep no gradient, so each cotangent is
 freed once its VJPs have run, and the plain arrays an operation lifted onto
 the tape as constants (data, identity matrices) get no VJP evaluated. The
-pass is one-shot: a node drops its VJPs as soon as they have run, freeing the
-arrays they captured, and a second pass over the same tape raises
-:class:`TapeConsumedError`. Nodes keep their values and parents.
+pass is one-shot and keeps an array only while something still reads it: a
+node drops its VJPs as soon as they have run, freeing the arrays they
+captured, and an interior node (neither the root nor a leaf) drops its value
+too, since every later reader of it is a VJP that has already run. The root
+and the leaves keep their values, and every node keeps its parents. A second
+pass over the same tape, or a new operation over a node whose value was
+dropped, raises :class:`TapeConsumedError`.
 
 All module-level math helpers (``exp``, ``matmul``, ``trig_features``, ...)
 compute their value once, from plain values, and pass it to ``_node``, the
@@ -57,11 +61,15 @@ class NonFiniteError(RuntimeError):
 
 
 class TapeConsumedError(RuntimeError):
-    """``backward()`` was called again on a tape whose VJPs it has already freed."""
+    """``backward()`` already ran over this tape and freed what was asked for.
+
+    Raised by a second pass over the tape and by reading an interior node's
+    value, which the pass drops.
+    """
 
 
 def _as_value(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
+    return x._live_value() if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
 def _unbroadcast(grad, shape):
@@ -92,16 +100,23 @@ class Tensor:
         self.vjps = vjps
         self.grad = None
 
+    def _live_value(self):
+        """``value``, or :class:`TapeConsumedError` if the backward pass dropped it."""
+        if self.value is None:
+            raise TapeConsumedError("backward() already ran over this tape and dropped "
+                                    "this interior node's value")
+        return self.value
+
     @property
     def shape(self):
-        return self.value.shape
+        return self._live_value().shape
 
     @property
     def ndim(self):
-        return self.value.ndim
+        return self._live_value().ndim
 
     def __repr__(self):
-        return f"Tensor(shape={self.value.shape})"
+        return "Tensor(consumed)" if self.value is None else f"Tensor(shape={self.value.shape})"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -130,10 +145,13 @@ class Tensor:
         """Backpropagate from this (scalar) tensor, filling the leaves' ``.grad``.
 
         One-shot: each node drops its VJPs, and with them the arrays they
-        captured, as soon as they have run. A second pass over the same tape
-        raises :class:`TapeConsumedError`.
+        captured, as soon as they have run, and an interior node drops its
+        value with them; nodes are visited children first, so every reader of
+        that value has run by then. Only the root and the leaves keep their
+        values. A second pass over the same tape raises
+        :class:`TapeConsumedError`.
         """
-        if self.value.size != 1:
+        if self._live_value().size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
         if any(node.vjps is None for node in order):
@@ -147,12 +165,21 @@ class Tensor:
                 node.grad = g
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
-                if isinstance(parent, _Constant):
-                    continue
-                pg = vjp(g)
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                if not isinstance(parent, _Constant):
+                    _accumulate(grads, id(parent), vjp(g))
             node.vjps = None
+            if node is not self:
+                node.value = None
+
+
+def _accumulate(grads, key, g):
+    """Add ``g`` into ``grads[key]``.
+
+    Out of the backward loop so that no local there keeps a dead cotangent
+    or partial sum alive through the next node's VJPs.
+    """
+    acc = grads.get(key)
+    grads[key] = g if acc is None else acc + g
 
 
 def _topo_order(root):
@@ -463,27 +490,32 @@ def psd_quad_diag(A, L_inv, F):
     """Row-wise quadratic forms f.(A^-1 f) of F, (n,) or (N, n), given L^-1 for A = L L^T.
 
     The caller forms L^-1 once with :func:`tri_inverse` and keeps it, so no
-    call inverts anything. Triangular multiplies by it give V = L^-1 F^T and,
-    for both adjoints, S = L^-T V = A^-1 F^T. F-bar = 2 g S^T, laid out like
-    F, is formed once and also gives A-bar = -(S g) S^T = -F-bar^T S^T / 2.
-    The value is the column sums of V^2, so it is nonnegative by
+    call inverts anything. A triangular multiply by it gives V = L^-1 F^T,
+    and the value is the column sums of V^2, so it is nonnegative by
     construction whatever the rounding in L^-1.
+
+    Both adjoints come from S = L^-T V = A^-1 F^T, which the backward pass
+    forms by one more triangular multiply in place over V (the pass is
+    one-shot, so nothing reads V again): F-bar = 2 g S^T, laid out like F,
+    and, when A is a tensor, A-bar = -(S g) S^T = -F-bar^T S^T / 2, both
+    formed at once. Between the two VJPs the node holds V's buffer and F-bar,
+    and S^T lives only as long as it takes to form them.
     """
     V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
+    traced_A = isinstance(A, Tensor)
 
-    def solved(g):
-        # dtrmm returns Fortran order, so S^T is C-contiguous like F
-        S_t = dtrmm(1.0, L_inv, V, lower=1, trans_a=1).T
-        return S_t, S_t * (2.0 * np.expand_dims(g, -1))
+    def adjoints(g):
+        # dtrmm returns Fortran order, so V is overwritten in place and S^T
+        # is C-contiguous like F
+        S_t = dtrmm(1.0, L_inv, V, lower=1, trans_a=1, overwrite_b=1).T
+        F_bar = S_t * (2.0 * np.expand_dims(g, -1))
+        if not traced_A:
+            return None, F_bar
+        return -0.5 * (np.outer(F_bar, S_t) if V.ndim == 1 else F_bar.T @ S_t), F_bar
 
-    shared = _per_cotangent(solved)
-
-    def vjp_A(g):
-        S_t, F_bar = shared(g)
-        return -0.5 * (np.outer(F_bar, S_t) if V.ndim == 1 else F_bar.T @ S_t)
-
-    return _node(out, (A, F), (vjp_A, lambda g: shared(g)[1]))
+    shared = _per_cotangent(adjoints)
+    return _node(out, (A, F), (lambda g: shared(g)[0], lambda g: shared(g)[1]))
 
 
 def psd_logdet(L):

@@ -373,8 +373,23 @@ def _build_parser():
     return parser
 
 
+def _attach_grid_specs(argv):
+    """``--grid SPEC`` as ``--grid=SPEC`` where SPEC starts with ``-``, as ``-1:1:5`` does.
+
+    argparse reads such a token as an option unless it is a plain negative
+    number; a lo:hi:count spec always holds a ``:``, which no option does.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--grid" and token.startswith("-") and ":" in token:
+            out[-1] = f"--grid={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_grid_specs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, ValueError) as e:

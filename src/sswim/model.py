@@ -265,15 +265,17 @@ def objective(model: SswimModel, x, y) -> float:
 def value_and_gradient(model: SswimModel, x, y):
     """Objective and its gradient in packed parameter order (one tape pass).
 
-    Refreshes the model's fitted caches like :func:`objective` does.
+    Refreshes the model's fitted caches like :func:`objective` does. They are
+    installed before the backward pass, which drops the values of the tape's
+    interior nodes.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     theta_t = ad.Tensor(model.theta)
     value, fitted = _forward(model, theta_t, x, y)
     ad.check_finite(value, "objective")
+    _install(model, fitted)
     value.backward()
     grad = theta_t.grad if theta_t.grad is not None else np.zeros_like(model.theta)
-    _install(model, fitted)
     return float(value.value), grad.reshape(-1).copy()
 
 

@@ -365,6 +365,27 @@ def test_backward_is_one_shot():
         scalarize(mid).backward()
 
 
+def test_backward_drops_interior_values():
+    t = ad.Tensor(np.array([0.5, 2.0]))
+    c = np.array([1.5, -1.0])
+    mid = ad.exp(t * c)
+    out = scalarize(mid * t)
+    order = ad._topo_order(out)
+    interior = [n for n in order if n.parents and n is not out]
+    assert mid in interior and len(interior) >= 3
+    out.backward()
+    assert all(n.value is None for n in interior)
+    # the root and the leaves, the parameter and the lifted constants, keep theirs
+    assert out.value == pytest.approx(np.sum(np.exp(t.value * c) * t.value), rel=1e-15)
+    leaves = [n for n in order if not n.parents]
+    assert t in leaves and any(np.array_equal(n.value, c) for n in leaves)
+    assert all(n.value is not None for n in leaves)
+    for read in (lambda: mid.shape, lambda: mid.ndim, lambda: ad.exp(mid), lambda: mid + 1.0):
+        with pytest.raises(ad.TapeConsumedError, match="already ran"):
+            read()
+    assert repr(mid) == "Tensor(consumed)"
+
+
 def closure_arrays(fn, found=None):
     """Every ndarray a function's closure holds, following nested closures."""
     found = {} if found is None else found
@@ -383,7 +404,8 @@ def test_backward_frees_what_the_vjps_captured():
     t = ad.Tensor(rng.standard_normal((6, 4)))
     quad = ad.psd_quad_diag(A, ad.tri_inverse(ad.chol_psd(A)), t)
     out = scalarize(quad)
-    # V = L^-1 F^T and L^-1 live only in the VJPs' closures, not on the tape
+    # L^-1 and V = L^-1 F^T, whose buffer the pass overwrites with
+    # S = A^-1 F^T, live only in the VJPs' closures, not on the tape
     on_tape = {id(n.value) for n in ad._topo_order(out)}
     captured = [v for fn in quad.vjps for k, v in closure_arrays(fn).items()
                 if k not in on_tape]
@@ -510,6 +532,26 @@ def test_psd_quad_diag_gradients():
         check_scalarized(lambda t, F=F, p=proj: scalarize(quad_sym(t, F), p), A,
                          rtol=1e-5, atol=1e-7)
         check_scalarized(lambda t, p=proj: scalarize(ad.psd_quad_diag(A, L_inv, t), p), F)
+
+
+def test_psd_quad_diag_backward_leaves_its_inputs_unchanged():
+    # the pass forms S = L^-T V in place over V, which must be the node's own
+    # buffer, never F's or the caller's kept L^-1
+    rng = np.random.default_rng(20)
+    A = spd(rng, 5)
+    L_inv = ad.tri_inverse(ad.chol_psd(A))
+    F = rng.standard_normal((9, 5))
+    for f in (F, np.asfortranarray(F), F[3]):
+        inputs = (A, L_inv, f)
+        before = [a.tobytes() for a in inputs]
+        a_t, f_t = ad.Tensor(A), ad.Tensor(f)
+        scalarize(ad.psd_quad_diag(a_t, L_inv, f_t)).backward()
+        assert [a.tobytes() for a in inputs] == before
+        assert a_t.value is A and f_t.value is f
+        f2 = np.atleast_2d(f)
+        want_F = 2.0 * np.linalg.solve(A, f2.T).T
+        np.testing.assert_allclose(f_t.grad, want_F.reshape(f.shape), rtol=1e-12)
+        np.testing.assert_allclose(a_t.grad, -0.25 * want_F.T @ want_F, rtol=1e-12, atol=1e-15)
 
 
 def test_psd_logdet_matches_slogdet():

@@ -266,11 +266,26 @@ def test_export_warp_validation(tmp_path, capsys):
         assert main(["export-warp", "--model", str(model_path), "--grid", bad,
                      "--output-dir", str(tmp_path)]) == 2
     capsys.readouterr()
-    # a non-finite grid point would be predicted as a nan row
+    # a non-finite grid point would be predicted as a nan row; a spec that
+    # starts with "-" reaches the grid parser in both the one- and two-token form
     for bad in ("nan:1:3", "0:inf:3", "-inf:0:3", "-1e308:1e308:3"):
-        assert main(["export-warp", "--model", str(model_path), f"--grid={bad}",
-                     "--output-dir", str(tmp_path)]) == 2
-        assert f"bad grid part {bad!r}" in capsys.readouterr().err
+        for grid in ([f"--grid={bad}"], ["--grid", bad]):
+            assert main(["export-warp", "--model", str(model_path), *grid,
+                         "--output-dir", str(tmp_path)]) == 2
+            assert f"bad grid part {bad!r}" in capsys.readouterr().err
+
+
+def test_export_warp_takes_a_negative_grid_in_either_form(tmp_path):
+    model_path = trained_model_path(tmp_path, depth=1)
+    tables = []
+    for grid in (["--grid", "-1:1:5"], ["--grid=-1:1:5"]):
+        out = tmp_path / str(len(tables))
+        assert main(["export-warp", "--model", str(model_path), *grid,
+                     "--output-dir", str(out)]) == 0
+        tables.append((out / "steps_chirp_1d_depth1_repeat0_warp_grid.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert [float(r["x1"]) for r in read_rows(out / "steps_chirp_1d_depth1_repeat0_warp_grid.csv")
+            ] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
 def blob(a):

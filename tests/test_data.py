@@ -1,11 +1,15 @@
 """CSV ingestion, manifests, splitting, standardization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sswim.data import (Dataset, Preprocessing, load_csv, load_from_manifest,
+from sswim.data import (TARGET_TRANSFORMS, Dataset, Preprocessing, load_csv, load_from_manifest,
                         load_manifest, read_key_value_file, split, standardize,
                         subsample)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(path, text):
@@ -154,6 +158,20 @@ def test_manifest_validation(tmp_path):
     missing = write(tmp_path / "c.manifest", "path = nowhere.csv\ntarget = y\n")
     with pytest.raises(FileNotFoundError, match="nowhere.csv"):
         load_from_manifest(missing)
+
+
+def test_every_shipped_manifest_is_valid():
+    # data/README: one CSV per dataset under data/, named as its manifest;
+    # most of the CSVs are not bundled, so only the manifests are checked
+    manifests = sorted((ROOT / "manifests").glob("*.manifest"))
+    assert manifests
+    for manifest in manifests:
+        spec = load_manifest(manifest)  # raises on an unknown or a missing key
+        assert spec["csv_path"].resolve() == ROOT / "data" / f"{manifest.stem}.csv", manifest
+        assert spec["name"] == manifest.stem
+        pp = spec["preprocessing"]
+        assert pp.target_transform in TARGET_TRANSFORMS, manifest
+        assert spec["target"] and spec["target"] not in pp.drop_columns, manifest
 
 
 # -- split -------------------------------------------------------------------

@@ -310,6 +310,19 @@ def test_gradient_mode_value_agreement():
     assert np.all(np.isfinite(grad))
 
 
+def test_value_and_gradient_leaves_the_model_fitted_like_objective():
+    # the fitted structures are installed before the backward pass drops the
+    # tape's interior values; depth 2 takes the warp_gaussian path too
+    x, y = toy_data(15, n=12, d=2)
+    traced = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=3, seed=7)
+    plain = replace(traced)
+    value_and_gradient(traced, x, y)
+    objective(plain, x, y)
+    xs = np.random.default_rng(3).uniform(-1.5, 1.5, (20, 2))
+    for got, want in zip(predict_f(traced, xs), predict_f(plain, xs)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fd_gradient_leaves_the_model_untouched(forward_passes):
     x, y = toy_data(16, n=10)
     model = build_model(x, n_layers=1, M=4, M_w=3, n_pseudo=3, seed=8)
@@ -512,11 +525,13 @@ def test_tape_nodes_per_gradient_at_the_chirp_shape(depth, limit, monkeypatch):
     assert len(sizes) == 1 and sizes[0] <= limit
 
 
-@pytest.mark.parametrize("depth, limit", [(1, 12), (2, 18)])
+@pytest.mark.parametrize("depth, limit", [(1, 9.5), (2, 14.5)])
 def test_gradient_tape_memory_in_feature_arrays(depth, limit):
     # the traced peak of one value_and_gradient, counted in N x 2M float64
-    # feature arrays: about 11 (depth 1) and 16 (depth 2) with fused feature
-    # nodes and a freeing backward, about 23 and 42 with neither
+    # feature arrays: about 8.6 (depth 1) and 13.2 (depth 2) with fused
+    # feature nodes and a backward that frees each array after its last
+    # reader, about 10.7 and 15.4 when the backward kept interior values
+    # and S = A^-1 F^T beside V, about 23 and 42 with neither
     n, M = 4000, 32
     x, y = toy_data(23, n=n, d=2)
     model = build_model(x, n_layers=depth, M=M, n_pseudo=16, seed=5)
