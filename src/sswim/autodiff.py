@@ -1,25 +1,26 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The engine is an eager tape: every operation on a :class:`Tensor` records its
-parents and the vector-Jacobian products needed to backpropagate through it.
-Calling :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every
-leaf tensor (one with no parents, such as a parameter vector) that
-contributed to it. Intermediate nodes keep no gradient, so each cotangent is
-freed once its VJPs have run, and the plain arrays an operation lifted onto
-the tape as constants (data, identity matrices) get no VJP evaluated. The
-pass is one-shot and keeps an array only while something still reads it: a
-node drops its VJPs as soon as they have run, freeing the arrays they
-captured, and an interior node (neither the root nor a leaf) drops its value
-too, since every later reader of it is a VJP that has already run. The root
-and the leaves keep their values, and every node keeps its parents. A second
-pass over the same tape, or a new operation over a node whose value was
-dropped, raises :class:`TapeConsumedError`.
+The engine is an eager tape: every operation on a :class:`Tensor` records
+its tensor inputs as parents and one vector-Jacobian product (VJP), which
+maps the output's cotangent to one cotangent per input at once (Griewank &
+Walther, *Evaluating Derivatives*, ch. 3). Plain inputs (data, identity
+matrices) are not parents, and their cotangents are dropped. Calling
+:meth:`Tensor.backward` on a scalar output fills ``.grad`` on every leaf
+tensor (one with no parents, such as a parameter vector) that contributed to
+it; no other node keeps a gradient. The pass is one-shot and keeps an array
+only while something still reads it: each cotangent is freed once its
+node's VJP has run, the VJP goes with the arrays it captured, and an
+interior node (neither the root nor a leaf) drops its value too, since every
+later reader of it is a VJP that has already run. Every node keeps its
+parents. A second pass over the same tape, or a new operation over a node
+whose value was dropped, raises :class:`TapeConsumedError`.
 
 All module-level math helpers (``exp``, ``matmul``, ``trig_features``, ...)
 compute their value once, from plain values, and pass it to ``_node``, the
 one dispatch point: with no ``Tensor`` among the inputs it returns the plain
-numpy value, otherwise a tape node over the inputs. This lets the model code
-be written once and executed either way, with bit-identical values.
+numpy value, otherwise a tape node over the tensor inputs. This lets the
+model code be written once and executed either way, with bit-identical
+values.
 
 Linear algebra goes through three tape primitives: ``psd_solve``,
 ``psd_quad_diag`` (the row-wise quadratic forms behind a predictive
@@ -86,18 +87,22 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    """A node in the tape: a numpy value plus backpropagation bookkeeping."""
+    """A tape node: a numpy value, its parents and its VJP.
+
+    ``parents`` are the tensor inputs that made the node, and ``vjp(g)`` returns
+    one cotangent per parent for the node's cotangent g. A leaf has neither.
+    """
 
     # Keep numpy from consuming Tensors in mixed expressions; reflected
     # operators then run and lift the ndarray operand instead.
     __array_ufunc__ = None
 
-    __slots__ = ("value", "parents", "vjps", "grad")
+    __slots__ = ("value", "parents", "vjp", "grad")
 
-    def __init__(self, value, parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=float)
         self.parents = parents
-        self.vjps = vjps
+        self.vjp = vjp
         self.grad = None
 
     def _live_value(self):
@@ -144,42 +149,40 @@ class Tensor:
     def backward(self):
         """Backpropagate from this (scalar) tensor, filling the leaves' ``.grad``.
 
-        One-shot: each node drops its VJPs, and with them the arrays they
-        captured, as soon as they have run, and an interior node drops its
-        value with them; nodes are visited children first, so every reader of
-        that value has run by then. Only the root and the leaves keep their
+        Each node's VJP runs once, on the sum of the cotangents its children
+        sent it. One-shot: each node drops its VJP, and with it the arrays it
+        captured, as soon as it has run, and an interior node drops its value
+        with it; nodes are visited children first, so every reader of that
+        value has run by then. Only the root and the leaves keep their
         values. A second pass over the same tape raises
         :class:`TapeConsumedError`.
         """
         if self._live_value().size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _topo_order(self)
-        if any(node.vjps is None for node in order):
+        if any(node.parents and node.vjp is None for node in order):
             raise TapeConsumedError("backward() already ran over this tape")
         grads = {id(self): np.ones_like(self.value)}
         for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if not node.parents:
                 node.grad = g
                 continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                if not isinstance(parent, _Constant):
-                    _accumulate(grads, id(parent), vjp(g))
-            node.vjps = None
+            _propagate(grads, node, g)
+            node.vjp = None
             if node is not self:
                 node.value = None
 
 
-def _accumulate(grads, key, g):
-    """Add ``g`` into ``grads[key]``.
+def _propagate(grads, node, g):
+    """Run ``node``'s VJP on its cotangent ``g`` and add each result into ``grads``.
 
     Out of the backward loop so that no local there keeps a dead cotangent
-    or partial sum alive through the next node's VJPs.
+    or partial sum alive through the next node's VJP.
     """
-    acc = grads.get(key)
-    grads[key] = g if acc is None else acc + g
+    for parent, pg in zip(node.parents, node.vjp(g)):
+        acc = grads.get(id(parent))
+        grads[id(parent)] = pg if acc is None else acc + pg
 
 
 def _topo_order(root):
@@ -199,27 +202,23 @@ def _topo_order(root):
     return order
 
 
-def _is_tensor(*xs):
-    return any(isinstance(x, Tensor) for x in xs)
-
-
-class _Constant(Tensor):
-    """A plain array lifted into an operation; backward computes no VJP into it."""
-
-    __slots__ = ()
-
-
-def _node(out, inputs, vjps):
-    """``out`` itself when no input is a tensor, else a tape node over the inputs.
+def _node(out, inputs, vjp):
+    """``out`` itself when no input is a tensor, else a tape node over the tensor inputs.
 
     The one place an operation decides between plain and traced: every
-    operation computes its value once from plain values and hands it here,
-    with one VJP per input.
+    operation computes its value once from plain values and hands it here
+    with its VJP, one cotangent per input. Only the tensor inputs become
+    parents, and the plain ones' cotangents are dropped as the VJP returns.
     """
-    if not _is_tensor(*inputs):
+    traced = [i for i, x in enumerate(inputs) if isinstance(x, Tensor)]
+    if not traced:
         return out
-    return Tensor(out, tuple(x if isinstance(x, Tensor) else _Constant(x) for x in inputs),
-                  vjps)
+
+    def parents_vjp(g):
+        cotangents = vjp(g)
+        return [cotangents[i] for i in traced]
+
+    return Tensor(out, tuple(inputs[i] for i in traced), parents_vjp)
 
 
 # -- elementwise binary ops -------------------------------------------------
@@ -227,26 +226,20 @@ def _node(out, inputs, vjps):
 
 def add(a, b):
     av, bv = _as_value(a), _as_value(b)
-    return _node(av + bv, (a, b), (
-        lambda g: _unbroadcast(g, av.shape),
-        lambda g: _unbroadcast(g, bv.shape),
-    ))
+    return _node(av + bv, (a, b),
+                 lambda g: (_unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)))
 
 
 def multiply(a, b):
     av, bv = _as_value(a), _as_value(b)
-    return _node(av * bv, (a, b), (
-        lambda g: _unbroadcast(g * bv, av.shape),
-        lambda g: _unbroadcast(g * av, bv.shape),
-    ))
+    return _node(av * bv, (a, b),
+                 lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)))
 
 
 def divide(a, b):
     av, bv = _as_value(a), _as_value(b)
-    return _node(av / bv, (a, b), (
-        lambda g: _unbroadcast(g / bv, av.shape),
-        lambda g: _unbroadcast(-g * av / bv**2, bv.shape),
-    ))
+    return _node(av / bv, (a, b), lambda g: (
+        _unbroadcast(g / bv, av.shape), _unbroadcast(-g * av / bv**2, bv.shape)))
 
 
 # -- elementwise unary ops --------------------------------------------------
@@ -254,7 +247,7 @@ def divide(a, b):
 
 def exp(a):
     out = np.exp(_as_value(a))
-    return _node(out, (a,), (lambda g: g * out,))
+    return _node(out, (a,), lambda g: (g * out,))
 
 
 # -- trigonometric features -------------------------------------------------
@@ -321,36 +314,25 @@ def trig_features(x, om, scale, var=None):
     def rows(a):
         return a.reshape(-1, a.shape[-1])
 
-    def adjoints(g):
-        out_c, out_s, g_c, g_s = out[..., :m], out[..., m:], g[..., :m], g[..., m:]
+    def vjp(g):
+        g_c, g_s = g[..., :m], g[..., m:]
         d_proj = out_c * g_s
         d_proj -= out_s * g_c
-        if varv is None:
-            return d_proj, None
-        d_logd = out_c * g_c
-        d_logd += out_s * g_s
-        return d_proj, _unbroadcast(d_logd, varv.shape[:-1] + (m,))
-
-    shared = _per_cotangent(adjoints)
-
-    def vjp_om(g):
-        d_proj, d_logd = shared(g)
-        grad = rows(d_proj).T @ rows(xv)
+        d_om = rows(d_proj).T @ rows(xv)
+        d_var = None
         if varv is not None:
-            grad -= omv * (rows(d_logd).T @ rows(varv))
-        return grad
-
-    def vjp_scale(g):
+            d_logd = out_c * g_c
+            d_logd += out_s * g_s
+            d_logd = _unbroadcast(d_logd, varv.shape[:-1] + (m,))
+            d_om -= omv * (rows(d_logd).T @ rows(varv))
+            d_var = -0.5 * (d_logd @ (omv * omv))
         if abs(sv) >= np.finfo(float).tiny:
-            return np.vdot(g, out) / sv
-        # out has no significant bits left to divide by scale: rebuild it unscaled
-        return np.vdot(g, trig_features(xv, omv, 1.0, varv))
+            d_scale = np.vdot(g, out) / sv
+        else:  # out has no significant bits left to divide by scale: rebuild it unscaled
+            d_scale = np.vdot(g, trig_features(xv, omv, 1.0, varv))
+        return d_proj @ omv, d_om, d_scale, d_var
 
-    vjps = (lambda g: shared(g)[0] @ omv, vjp_om, vjp_scale)
-    if varv is None:
-        return _node(out, (x, om, scale), vjps)
-    return _node(out, (x, om, scale, var),
-                 vjps + (lambda g: -0.5 * (shared(g)[1] @ (omv * omv)),))
+    return _node(out, (x, om, scale, var), vjp)
 
 
 # -- structural ops ---------------------------------------------------------
@@ -366,25 +348,23 @@ def matmul(a, b):
     def as_2d(g):
         return np.reshape(g, (a2.shape[0], b2.shape[1]))
 
-    return _node(av @ bv, (a, b), (
-        lambda g: (as_2d(g) @ b2.T).reshape(av.shape),
-        lambda g: (a2.T @ as_2d(g)).reshape(bv.shape),
-    ))
+    return _node(av @ bv, (a, b), lambda g: (
+        (as_2d(g) @ b2.T).reshape(av.shape), (a2.T @ as_2d(g)).reshape(bv.shape)))
 
 
 def gram(phi):
     """phi^T phi as one node; its adjoint phi (G-bar + G-bar^T) is one GEMM."""
     pv = _as_value(phi)
-    return _node(pv.T @ pv, (phi,), (lambda g: pv @ (g + g.T),))
+    return _node(pv.T @ pv, (phi,), lambda g: (pv @ (g + g.T),))
 
 
 def transpose(a):
-    return _node(_as_value(a).T, (a,), (lambda g: g.T,))
+    return _node(_as_value(a).T, (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
     av = _as_value(a)
-    return _node(av.reshape(shape), (a,), (lambda g: g.reshape(av.shape),))
+    return _node(av.reshape(shape), (a,), lambda g: (g.reshape(av.shape),))
 
 
 def expand_last(a):
@@ -398,9 +378,9 @@ def take(a, idx):
     def vjp(g):
         buf = np.zeros(av.shape)
         np.add.at(buf, idx, g)
-        return buf
+        return (buf,)
 
-    return _node(av[idx], (a,), (vjp,))
+    return _node(av[idx], (a,), vjp)
 
 
 # -- Cholesky-backed linear algebra -----------------------------------------
@@ -409,8 +389,8 @@ def take(a, idx):
 def chol_psd(A):
     """Lower Cholesky factor of a symmetric positive-definite matrix (LAPACK ``dpotrf``).
 
-    ``A`` may be a tensor; the factor is always a plain array, a constant of
-    the tape, with an exactly zero upper triangle. Retries once with a small
+    ``A`` may be a tensor; the factor is always a plain array, never a tape
+    node, with an exactly zero upper triangle. Retries once with a small
     diagonal jitter (1e-10 * mean diagonal), then raises
     :class:`FactorizationError` with condition diagnostics.
     """
@@ -448,34 +428,18 @@ def chol_solve(L, B):
     return cho_solve((L, True), B, check_finite=False)
 
 
-def _per_cotangent(fn):
-    """Memoize ``fn(g)`` for the adjoints of one node's parents.
-
-    The backward pass hands every parent's VJP the same cotangent object, so
-    a solve both adjoints need runs once per pass.
-    """
-    last = [None, None]
-
-    def shared(g):
-        if last[0] is not g:
-            last[0], last[1] = g, fn(g)
-        return last[1]
-
-    return shared
-
-
 def psd_solve(A, L, B):
-    """Solve A X = B for symmetric positive-definite A with Cholesky factor L."""
+    """Solve A X = B for symmetric positive-definite A with Cholesky factor L.
+
+    One solve serves both adjoints: B-bar = A^-1 g and A-bar = -B-bar X^T.
+    """
     X = chol_solve(L, _as_value(B))
-    solved = _per_cotangent(lambda g: chol_solve(L, g))
 
-    def vjp_A(g):
-        gb = solved(g)
-        if X.ndim == 1:
-            return -np.outer(gb, X)
-        return -gb @ X.T
+    def vjp(g):
+        gb = chol_solve(L, g)
+        return (-np.outer(gb, X) if X.ndim == 1 else -gb @ X.T), gb
 
-    return _node(X, (A, B), (vjp_A, solved))
+    return _node(X, (A, B), vjp)
 
 
 def tri_inverse(L):
@@ -498,14 +462,13 @@ def psd_quad_diag(A, L_inv, F):
     forms by one more triangular multiply in place over V (the pass is
     one-shot, so nothing reads V again): F-bar = 2 g S^T, laid out like F,
     and, when A is a tensor, A-bar = -(S g) S^T = -F-bar^T S^T / 2, both
-    formed at once. Between the two VJPs the node holds V's buffer and F-bar,
-    and S^T lives only as long as it takes to form them.
+    formed at once. S^T lives only as long as it takes to form them.
     """
     V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
     traced_A = isinstance(A, Tensor)
 
-    def adjoints(g):
+    def vjp(g):
         # dtrmm returns Fortran order, so V is overwritten in place and S^T
         # is C-contiguous like F
         S_t = dtrmm(1.0, L_inv, V, lower=1, trans_a=1, overwrite_b=1).T
@@ -514,8 +477,7 @@ def psd_quad_diag(A, L_inv, F):
             return None, F_bar
         return -0.5 * (np.outer(F_bar, S_t) if V.ndim == 1 else F_bar.T @ S_t), F_bar
 
-    shared = _per_cotangent(adjoints)
-    return _node(out, (A, F), (lambda g: shared(g)[0], lambda g: shared(g)[1]))
+    return _node(out, (A, F), vjp)
 
 
 def psd_logdet(L):
@@ -548,16 +510,14 @@ def gaussian_evidence(A, L, logdet, b, alpha, noise_var, y):
                   + 0.5 * n * np.log(2.0 * np.pi * nv))
     out = 0.5 * quad / nv + n_outputs * per_output
 
-    def vjp_A(g):
+    def vjp(g):
         L_inv = tri_inverse(L)  # A^-1 = L^-T L^-1
         a2 = av.reshape(n_feat, -1)
-        return 0.5 * g * (n_outputs * (L_inv.T @ L_inv) + (a2 @ a2.T) / nv)
+        return (0.5 * g * (n_outputs * (L_inv.T @ L_inv) + (a2 @ a2.T) / nv),
+                -g * av / nv,
+                g * (-0.5 * quad / nv**2 + 0.5 * n_outputs * (n - n_feat) / nv))
 
-    return _node(out, (A, b, noise_var), (
-        vjp_A,
-        lambda g: -g * av / nv,
-        lambda g: g * (-0.5 * quad / nv**2 + 0.5 * n_outputs * (n - n_feat) / nv),
-    ))
+    return _node(out, (A, b, noise_var), vjp)
 
 
 def check_finite(x, what: str):

@@ -1,8 +1,8 @@
 """Trigonometric random-feature maps for stationary kernels.
 
-A :class:`SpectralBasis` holds a frozen matrix of unit-scale frequency draws
-together with trainable lengthscales and an output amplitude. The feature map
-of a point x is
+A :class:`SpectralBasis` holds a frozen (M, D) matrix of unit-scale frequency
+draws, whose shape gives M and D, together with trainable lengthscales and an
+output amplitude. The feature map of a point x is
 
     phi(x) = (amplitude / sqrt(M)) * [cos(w_1.x), ..., cos(w_M.x),
                                       sin(w_1.x), ..., sin(w_M.x)]
@@ -36,12 +36,19 @@ FAMILIES = ("matern32", "rbf")
 class SpectralBasis:
     """Frozen frequency draws plus trainable lengthscales and amplitude."""
 
-    family: str
-    M: int  # number of frequencies; the feature dimension is 2M
-    D: int  # input dimensionality
     base_draws: np.ndarray  # (M, D), fixed after sampling
     lengthscales: object  # (D,), strictly positive, trainable
     amplitude: object  # strictly positive output scale, trainable
+
+    @property
+    def M(self):
+        """Number of frequencies; the feature dimension is 2M."""
+        return self.base_draws.shape[0]
+
+    @property
+    def D(self):
+        """Input dimensionality."""
+        return self.base_draws.shape[1]
 
     @property
     def n_features(self):
@@ -84,7 +91,7 @@ def make_basis(family, M, D, seed, lengthscales=1.0, amplitude=1.0) -> SpectralB
     ell = np.broadcast_to(np.asarray(lengthscales, dtype=float), (D,)).copy()
     if np.any(ell <= 0) or amplitude <= 0:
         raise ValueError("lengthscales and amplitude must be strictly positive")
-    return SpectralBasis(family, M, D, sample_frequencies(family, M, D, seed), ell, float(amplitude))
+    return SpectralBasis(sample_frequencies(family, M, D, seed), ell, float(amplitude))
 
 
 def _check_dim(basis: SpectralBasis, x, name="x"):

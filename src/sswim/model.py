@@ -13,19 +13,19 @@ segment schema; positive quantities live in theta as logarithms.
 Everything else is derived from those two. A model is in one of two states:
 unfitted, holding theta alone (from ``build_model`` or
 :func:`apply_parameters`, which installs theta and clears the fitted
-fields), or fitted at its theta, holding the fitted warp stack, top basis,
-top noise variance and top posterior (after ``objective``,
-``value_and_gradient`` or ``load``). It is never stale: ``apply_parameters``
-is the one place the fitted fields are cleared and ``_install`` the one
-place they are written. Every evaluation assembles its structures from the
-draws and theta (``_assemble``, inside ``_forward``) and reads nothing the
-model held before. A fit returns new objects and mutates none, so ``train``
-evaluates a candidate theta on a shallow copy that carries it,
-``replace(model, theta=candidate)``, and no model is ever reverted. One
-assembly routine serves both modes: handed the theta array it produces a
-plain numpy model, handed a tape tensor a traced one, so the gradient
-differentiates exactly the arithmetic the plain objective runs. Every Gram
-is factored exactly once per evaluation.
+fields), or fitted at its theta, holding the fitted warp stack, top basis
+and top posterior, which carries the top noise variance (after
+``objective``, ``value_and_gradient`` or ``load``). It is never stale:
+``apply_parameters`` is the one place the fitted fields are cleared and
+``_install`` the one place they are written. Every evaluation assembles
+its structures from the draws and theta (``_assemble``, inside
+``_forward``) and reads nothing the model held before. A fit returns new
+objects and mutates none, so ``train`` evaluates a candidate theta on a
+shallow copy that carries it, ``replace(model, theta=candidate)``, and no
+model is ever reverted. One assembly routine serves both modes: handed the
+theta array it produces a plain numpy model, handed a tape tensor a traced
+one, so the gradient differentiates exactly the arithmetic the plain
+objective runs. Every Gram is factored exactly once per evaluation.
 Prediction is row-separable and walks a batch in fixed chunks of
 PREDICT_CHUNK_ROWS rows, so its temporaries do not grow with the batch. A
 fitted or loaded model's first prediction inverts each of its 2 * depth + 1
@@ -79,7 +79,6 @@ class SswimModel:
     # fitted at theta by an evaluation or load (_install); None while unfitted
     stack: WarpStack = None
     top_basis: SpectralBasis = None
-    top_noise_var: object = None
     top_post: ssgp.SsgpPosterior = None
 
     @property
@@ -163,11 +162,11 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
 def apply_parameters(model: SswimModel, values) -> SswimModel:
     """Validate and install a flat parameter vector, leaving the model unfitted.
 
-    The stack, top basis, top noise variance and top posterior are cleared,
-    since they belonged to the old theta; nothing is assembled or fitted
-    until the next :func:`objective` or :func:`value_and_gradient` derives
-    them from the draws and the new theta. Only the model's fields are
-    rebound, so applying to a shallow copy leaves the original as it was.
+    The stack, top basis and top posterior are cleared, since they belonged
+    to the old theta; nothing is assembled or fitted until the next
+    :func:`objective` or :func:`value_and_gradient` derives them from the
+    draws and the new theta. Only the model's fields are rebound, so
+    applying to a shallow copy leaves the original as it was.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (model.schema[-1].stop,):
@@ -175,14 +174,14 @@ def apply_parameters(model: SswimModel, values) -> SswimModel:
                          f"schema expects ({model.schema[-1].stop},)")
     ad.check_finite(values, "parameter vector")
     model.theta = values.copy()
-    model.stack = model.top_basis = model.top_noise_var = model.top_post = None
+    model.stack = model.top_basis = model.top_post = None
     return model
 
 
 def _assemble(model: SswimModel, theta):
     """Unfitted stack, top basis and top noise variance at theta.
 
-    Reads only the model's schema, family and draws. theta may be the plain
+    Reads only the model's schema and draws. theta may be the plain
     parameter array or a tape tensor; the assembled structures hold values
     of the same kind.
     """
@@ -194,9 +193,8 @@ def _assemble(model: SswimModel, theta):
         return ad.exp(part) if s.log else part
 
     def basis(key):
-        draws = model.draws[key]
-        return SpectralBasis(model.family, *draws.shape, draws,
-                             seg(key + ".lengthscales"), seg(key + ".amplitude"))
+        return SpectralBasis(model.draws[key], seg(key + ".lengthscales"),
+                             seg(key + ".amplitude"))
 
     layers = [WarpLayer(basis(f"layer{j}.g"), basis(f"layer{j}.h"),
                         seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
@@ -218,7 +216,7 @@ def _fit_warps(stack: WarpStack) -> WarpStack:
 
 
 def _forward(model: SswimModel, theta, x, y):
-    """Objective at theta, plain or traced, plus the fitted (stack, top_basis, top_noise, post)."""
+    """Objective at theta, plain or traced, plus the fitted (stack, top_basis, post)."""
     stack, top_basis, top_noise = _assemble(model, theta)
     stack = _fit_warps(stack)
     gi = propagate(stack, x)
@@ -227,7 +225,7 @@ def _forward(model: SswimModel, theta, x, y):
                                       y, top_noise)
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise type(e)(f"top-level fit: {e}") from None
-    return ssgp.posterior_nlml(post, y), (stack, top_basis, top_noise, post)
+    return ssgp.posterior_nlml(post, y), (stack, top_basis, post)
 
 
 def _detach(x):
@@ -246,7 +244,7 @@ def _detach(x):
 
 def _install(model: SswimModel, fitted):
     """Write fitted (possibly traced) structures as numpy values; the one writer of them."""
-    model.stack, model.top_basis, model.top_noise_var, model.top_post = _detach(fitted)
+    model.stack, model.top_basis, model.top_post = _detach(fitted)
 
 
 def objective(model: SswimModel, x, y) -> float:
@@ -319,7 +317,7 @@ def _predict_chunks(model: SswimModel, xstar):
     for chunk in chunks:
         gi = propagate(model.stack, chunk)
         mean, var = ssgp.predict(top_post, expected_feature_map(model.top_basis, gi))
-        yield gi, mean, var + model.top_noise_var
+        yield gi, mean, var + top_post.noise_var
 
 
 def predict_f(model: SswimModel, xstar):
@@ -469,7 +467,7 @@ def _from_document(doc) -> SswimModel:
     except (ad.FactorizationError, ad.NonFiniteError) as e:
         raise ValueError(f"theta does not give a fittable model: {e}") from None
     post = ssgp.SsgpPosterior(alpha, factor, top_noise, gram=None, proj_y=None)
-    _install(model, (stack, top, top_noise, post))
+    _install(model, (stack, top, post))
     return model
 
 

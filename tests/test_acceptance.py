@@ -181,9 +181,8 @@ def test_06_depth_zero_reduces_to_stationary_baseline():
             start, stop, shape = segments[name]
             return ad.exp(ad.reshape(ad.take(theta_t, slice(start, stop)), shape))
 
-        draws = model.draws["top"]
-        basis = SpectralBasis(model.family, *draws.shape, draws,
-                              seg("top.lengthscales"), seg("top.amplitude"))
+        basis = SpectralBasis(model.draws["top"], seg("top.lengthscales"),
+                              seg("top.amplitude"))
         post = ssgp.fit_from_features(basis, feature_map(basis, x), y,
                                       seg("top.noise_var"))
         value = ssgp.posterior_nlml(post, y)
@@ -217,8 +216,7 @@ def test_06_depth_zero_reduces_to_stationary_baseline():
     # trained predictions agree with a stationary refit at the kept parameters
     ls, amp, nv = (np.exp(best_theta[slice(*segments[k][:2])])
                    for k in ("top.lengthscales", "top.amplitude", "top.noise_var"))
-    basis = SpectralBasis(model.top_basis.family, model.top_basis.M, model.top_basis.D,
-                          model.top_basis.base_draws, ls, amp.item())
+    basis = SpectralBasis(model.top_basis.base_draws, ls, amp.item())
     post = ssgp.fit(basis, x, y, nv.item())
     xs = np.linspace(-1.0, 1.0, 15)[:, None]
     mean, var = predict_f(model, xs)
@@ -305,6 +303,37 @@ def test_10_large_dataset_smoke():
         model, trace = train(model, train_set.X, train_set.y, TrainConfig(steps=2))
         assert not trace.diverged
         assert np.all(np.isfinite(trace.objectives))
+
+
+def test_10_pipeline_on_a_generated_large_csv(tmp_path):
+    # test_10's pipeline through a manifest, on a generated 20-column CSV
+    # with a constant column, a dropped column and a log1p target
+    rng = np.random.default_rng(10)
+    n, d = 12_000, 17
+    x = rng.standard_normal((n, d))
+    columns = {f"x{j}": x[:, j] for j in range(d)}
+    columns |= {"flat": np.full(n, 3.0), "row_id": np.arange(n),
+                "count": np.expm1(2.0 + np.sin(x[:, :4]).sum(axis=1) + 0.1 * x[:, 4] ** 2)}
+    np.savetxt(tmp_path / "big.csv", np.column_stack(list(columns.values())), delimiter=",",
+               header=",".join(columns), comments="")
+    manifest = tmp_path / "big.manifest"
+    manifest.write_text("path = big.csv\ntarget = count\n"
+                        "drop_columns = row_id\ntarget_transform = log1p\n")
+    with pytest.warns(UserWarning, match=r"dropping constant column\(s\) \['flat'\]"):
+        full = load_from_manifest(manifest)
+    assert full.columns == [f"x{j}" for j in range(d)] and len(full) == n
+    np.testing.assert_allclose(full.y, np.log1p(columns["count"]), rtol=1e-12)
+    dataset = subsample(full, 5000, seed=0)
+    assert dataset.X.shape == (5000, d)
+    train_raw, test_raw = split(dataset, 0.8, 0)
+    train_set, test_set, _ = standardize(train_raw, test_raw)
+    model = build_model(train_set.X, n_layers=1, M=32, n_pseudo=16, seed=0)
+    model, trace = train(model, train_set.X, train_set.y, TrainConfig(steps=2))
+    assert not trace.diverged
+    assert np.all(np.isfinite(trace.objectives))
+    mean, var = predict_f(model, test_set.X)
+    assert mean.shape == var.shape == (1000,)
+    assert np.all(np.isfinite(mean)) and np.all(var > 0)
 
 
 def test_11_overfit_trace_protocol_on_concrete(tmp_path):

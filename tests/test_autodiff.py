@@ -230,18 +230,42 @@ def dispatch_cases():
     }
 
 
+def traced_subsets(n):
+    """Every argument position traced, then each one alone beside plain others."""
+    return [range(n)] + ([[i] for i in range(n)] if n > 1 else [])
+
+
+def traced(args, positions):
+    return [ad.Tensor(a) if i in positions else a for i, a in enumerate(args)]
+
+
 @pytest.mark.parametrize("name", sorted(dispatch_cases()))
 def test_every_op_gives_plain_values_bit_identical_to_traced(name):
     op, args = dispatch_cases()[name]
     plain = op(*args)
     assert not isinstance(plain, ad.Tensor)
     want = np.asarray(plain)
-    # trace every argument, then each one alone beside plain others
-    masks = [range(len(args))] + ([[i] for i in range(len(args))] if len(args) > 1 else [])
-    for traced_args in masks:
-        out = op(*(ad.Tensor(a) if i in traced_args else a for i, a in enumerate(args)))
+    for positions in traced_subsets(len(args)):
+        out = op(*traced(args, positions))
         assert isinstance(out, ad.Tensor)
         assert out.shape == want.shape and out.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(dispatch_cases()))
+def test_every_op_gradient_is_bit_identical_whichever_inputs_are_traced(name):
+    # one VJP serves every input: an input's gradient must not depend on
+    # which of the others are traced (the per-input gradients themselves are
+    # checked against finite differences by each op's own test)
+    op, args = dispatch_cases()[name]
+    proj = np.random.default_rng(8).standard_normal(np.shape(op(*args)))
+    grads = {}
+    for positions in traced_subsets(len(args)):
+        inputs = traced(args, positions)
+        scalarize(op(*inputs), proj).backward()
+        for i in positions:
+            assert inputs[i].grad.shape == np.shape(args[i])
+            grads.setdefault(i, inputs[i].grad.tobytes())
+            assert inputs[i].grad.tobytes() == grads[i]
 
 
 # -- structural ops ---------------------------------------------------------
@@ -312,9 +336,19 @@ def test_reuse_of_a_node_accumulates_gradient():
     np.testing.assert_allclose(t.grad, 2.0 * t.value + 1.0)
 
 
+def test_plain_inputs_are_never_parents():
+    t, s = ad.Tensor(np.array([0.5, 2.0])), ad.Tensor(np.array(0.3))
+    x = np.array([1.5, -1.0])
+    assert ad.multiply(t, x).parents == (t,)
+    assert ad.multiply(x, t).parents == (t,)
+    assert ad.trig_features(x, np.ones((3, 2)), s, t).parents == (s, t)
+    assert ad.psd_solve(np.eye(2), np.eye(2), t).parents == (t,)
+
+
 def test_backward_skips_constant_leaves():
-    # plain arrays an operation lifts onto the tape (data, a constant matrix)
-    # get no VJP evaluated; the leaf's gradient is unaffected
+    # plain arrays an operation reads (data, a constant matrix) never join
+    # the tape: the parameter is its only leaf, every node's VJP runs once,
+    # and the parameter's gradient is unaffected
     rng = np.random.default_rng(30)
     x, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
     A = 2.0 * np.eye(3) + 0.1
@@ -327,19 +361,22 @@ def test_backward_skips_constant_leaves():
 
     t = ad.Tensor(rng.standard_normal(3))
     out = f(t)
-    targets = []
+    order = ad._topo_order(out)
+    assert [n for n in order if not n.parents] == [t]
+    assert all(isinstance(p, ad.Tensor) for n in order for p in n.parents)
+    ran = []
 
-    def recording(parent, vjp):
+    def recording(node, vjp):
         def wrapped(g):
-            targets.append(parent)
+            ran.append(node)
             return vjp(g)
         return wrapped
 
-    for node in ad._topo_order(out):
-        node.vjps = tuple(recording(p, v) for p, v in zip(node.parents, node.vjps))
+    ops = [n for n in order if n.parents]
+    for node in ops:
+        node.vjp = recording(node, node.vjp)
     out.backward()
-    assert any(p is t for p in targets)
-    assert all(p is t or p.parents for p in targets)
+    assert sorted(map(id, ran)) == sorted(map(id, ops))
     want = numeric_grad(lambda v: float(f(v)), t.value)
     np.testing.assert_allclose(t.grad, want, rtol=1e-6, atol=1e-8)
 
@@ -375,11 +412,10 @@ def test_backward_drops_interior_values():
     assert mid in interior and len(interior) >= 3
     out.backward()
     assert all(n.value is None for n in interior)
-    # the root and the leaves, the parameter and the lifted constants, keep theirs
+    # the root and the one leaf, the parameter, keep theirs; c never joined the tape
     assert out.value == pytest.approx(np.sum(np.exp(t.value * c) * t.value), rel=1e-15)
-    leaves = [n for n in order if not n.parents]
-    assert t in leaves and any(np.array_equal(n.value, c) for n in leaves)
-    assert all(n.value is not None for n in leaves)
+    assert [n for n in order if not n.parents] == [t]
+    assert t.value is not None
     for read in (lambda: mid.shape, lambda: mid.ndim, lambda: ad.exp(mid), lambda: mid + 1.0):
         with pytest.raises(ad.TapeConsumedError, match="already ran"):
             read()
@@ -405,15 +441,14 @@ def test_backward_frees_what_the_vjps_captured():
     quad = ad.psd_quad_diag(A, ad.tri_inverse(ad.chol_psd(A)), t)
     out = scalarize(quad)
     # L^-1 and V = L^-1 F^T, whose buffer the pass overwrites with
-    # S = A^-1 F^T, live only in the VJPs' closures, not on the tape
+    # S = A^-1 F^T, live only in the VJP's closure, not on the tape
     on_tape = {id(n.value) for n in ad._topo_order(out)}
-    captured = [v for fn in quad.vjps for k, v in closure_arrays(fn).items()
-                if k not in on_tape]
+    captured = [v for k, v in closure_arrays(quad.vjp).items() if k not in on_tape]
     assert captured
     refs = [weakref.ref(v) for v in captured]
     del captured
     out.backward()
-    assert quad.vjps is None and out.vjps is None
+    assert quad.vjp is None and out.vjp is None
     assert all(r() is None for r in refs)
     assert t.grad.flags.c_contiguous  # laid out like F, for the feature adjoints downstream
     np.testing.assert_allclose(t.grad, 2.0 * np.linalg.solve(A, t.value.T).T, rtol=1e-12)

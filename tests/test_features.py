@@ -74,7 +74,7 @@ def test_feature_map_norm_equals_amplitude_squared():
 
 
 def test_feature_map_single_frequency_analytic_case():
-    basis = SpectralBasis("rbf", 1, 1, np.array([[1.0]]), np.array([1.0]), 1.0)
+    basis = SpectralBasis(np.array([[1.0]]), np.array([1.0]), 1.0)
     phi = feature_map(basis, np.array([np.pi / 2]))
     np.testing.assert_allclose(phi, [0.0, 1.0], atol=1e-15)
 

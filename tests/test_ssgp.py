@@ -58,7 +58,7 @@ def toy_problem(seed, n=30, M=8, D=2, p=1, family="rbf", noise_var=0.05):
 def test_fit_hand_case_single_frequency():
     # one frequency, x = 0 gives phi = [1, 0]; with y = 2 and unit noise the
     # Gram is diag(2, 1) and the weight mean is [1, 0]
-    basis = SpectralBasis("rbf", 1, 1, np.array([[1.0]]), np.array([1.0]), 1.0)
+    basis = SpectralBasis(np.array([[1.0]]), np.array([1.0]), 1.0)
     post = ssgp.fit(basis, np.array([[0.0]]), np.array([2.0]), noise_var=1.0)
     np.testing.assert_allclose(post.gram, np.diag([2.0, 1.0]), atol=1e-15)
     np.testing.assert_allclose(post.A_factor @ post.A_factor.T, np.diag([2.0, 1.0]), atol=1e-12)
