@@ -7,7 +7,9 @@ imports the tree's ``src/sswim`` and its ``perfbench/workloads.py`` (without
 writing bytecode into the tree) and, for every workload at seed 11, job 0,
 records the pipeline's outputs:
 
-- the objective and gradient of ``value_and_gradient`` at the built model;
+- the objective and gradient of ``value_and_gradient`` at the built model,
+  and at a depth-0 model built from the same seed (no benchmark workload
+  runs depth 0);
 - the ``train`` trace's objectives and the trained theta;
 - the means and variances of ``predict_f`` on the prediction batch, and of
   a second ``predict_f`` on it, which reuses the posteriors' factor inverses;
@@ -140,6 +142,9 @@ def _outputs(workloads, w, path) -> dict:
     x, y = s.train.X, s.train.y
     # on a copy: the evaluation installs its fit on the model it is given
     value, grad = model_mod.value_and_gradient(copy.copy(s.model), x, y)
+    model_seed = workloads.job_seeds(SEED, JOB)[2]
+    plain = model_mod.build_model(x, n_layers=0, M=w.M, seed=model_seed, **dict(w.model_kwargs))
+    plain_value, plain_grad = model_mod.value_and_gradient(plain, x, y)
     model, trace = train_mod.train(
         s.model, x, y, train_mod.TrainConfig(steps=w.steps, learning_rate=w.learning_rate))
     mean, var = model_mod.predict_f(model, s.batch)
@@ -152,6 +157,8 @@ def _outputs(workloads, w, path) -> dict:
     return {
         "built objective": np.array([value]),
         "built gradient": grad,
+        "depth-0 objective": np.array([plain_value]),
+        "depth-0 gradient": plain_grad,
         "train trace": np.asarray(trace.objectives, dtype=float),
         "trained theta": model.theta,
         "predict_f mean": mean,

@@ -461,20 +461,17 @@ def psd_quad_diag(A, L_inv, F):
     Both adjoints come from S = L^-T V = A^-1 F^T, which the backward pass
     forms by one more triangular multiply in place over V (the pass is
     one-shot, so nothing reads V again): F-bar = 2 g S^T, laid out like F,
-    and, when A is a tensor, A-bar = -(S g) S^T = -F-bar^T S^T / 2, both
-    formed at once. S^T lives only as long as it takes to form them.
+    and A-bar = -(S g) S^T = -F-bar^T S^T / 2, both formed at once. S^T lives
+    only as long as it takes to form them.
     """
     V = dtrmm(1.0, L_inv, _as_value(F).T, lower=1)
     out = np.sum(V * V, axis=0)
-    traced_A = isinstance(A, Tensor)
 
     def vjp(g):
         # dtrmm returns Fortran order, so V is overwritten in place and S^T
         # is C-contiguous like F
         S_t = dtrmm(1.0, L_inv, V, lower=1, trans_a=1, overwrite_b=1).T
         F_bar = S_t * (2.0 * np.expand_dims(g, -1))
-        if not traced_A:
-            return None, F_bar
         return -0.5 * (np.outer(F_bar, S_t) if V.ndim == 1 else F_bar.T @ S_t), F_bar
 
     return _node(out, (A, F), vjp)

@@ -279,8 +279,10 @@ def cmd_export_warp(model_path, grid_spec, out: Path) -> int:
     model = load(path)
     d = model.input_dim
     grid = _parse_grid_spec(grid_spec, d)
-    predicted = np.vstack([np.column_stack([gi.mean, gi.var, mu, var])
-                           for gi, mu, var in _predict_chunks(model, grid)])
+    # a depth-0 model leaves each grid point a point: variance None, written as 0
+    predicted = np.vstack([
+        np.column_stack([gi.mean, np.zeros_like(gi.mean) if gi.var is None else gi.var, mu, var])
+        for gi, mu, var in _predict_chunks(model, grid)])
 
     stem = path.name.removesuffix(".json").removesuffix(".model")
     coord_cols = [f"x{i + 1}" for i in range(d)]
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_attach_grid_specs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ad.FactorizationError, ad.NonFiniteError) as e:

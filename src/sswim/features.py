@@ -14,7 +14,7 @@ M-term estimate of the base kernel at x - x'.
 For a Gaussian input N(mean, diag(var)) the expectation of each trigonometric
 component is available in closed form: the deterministic feature at the mean,
 damped by exp(-0.5 * sum_d w_d^2 var_d). :func:`expected_feature_map`
-evaluates it and reduces bit-exactly to :func:`feature_map` when var = 0.
+evaluates it and reduces bit-exactly to :func:`feature_map` when var is None or 0.
 
 Both maps are one call to :func:`sswim.autodiff.trig_features`, so they
 accept either numpy arrays or tape tensors, and a traced map is a single tape
@@ -57,10 +57,10 @@ class SpectralBasis:
 
 @dataclass
 class GaussianInput:
-    """Diagonal Gaussian measure on the input space; var = 0 is a point mass.
+    """Diagonal Gaussian measure on the input space; var None is a point.
 
     ``mean`` and ``var`` are (D,) for a single measure or (N, D) for a batch
-    of independent measures handled row-wise.
+    of independent measures handled row-wise; var = 0 still reduces bit-exactly to a point.
     """
 
     mean: object
@@ -118,12 +118,13 @@ def expected_feature_map(basis: SpectralBasis, gi: GaussianInput):
     """Expectation of the feature map under a diagonal Gaussian input.
 
     Each cos/sin component is the deterministic feature at ``gi.mean`` damped
-    by exp(-0.5 * var-weighted squared frequency norm); with var = 0 the
-    output is bit-equal to ``feature_map(basis, gi.mean)``.
+    by exp(-0.5 * var-weighted squared frequency norm). A point (var None) runs
+    ``feature_map(basis, gi.mean)``'s arithmetic, and var = 0 is bit-equal to it.
     """
     _check_dim(basis, gi.mean, "mean")
-    _check_dim(basis, gi.var, "var")
-    if not isinstance(gi.var, ad.Tensor) and np.any(np.less(gi.var, 0)):
-        raise ValueError("input variance must be nonnegative")
+    if gi.var is not None:
+        _check_dim(basis, gi.var, "var")
+        if not isinstance(gi.var, ad.Tensor) and np.any(np.less(gi.var, 0)):
+            raise ValueError("input variance must be nonnegative")
     return ad.trig_features(gi.mean, frequencies(basis), basis.amplitude / np.sqrt(basis.M),
                             gi.var)

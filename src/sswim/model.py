@@ -8,24 +8,26 @@ evidence of the targets under that construction, jointly over every
 hyperparameter and every pseudo-training pair.
 
 A model is its frozen frequency draws (``model.draws``, drawn once at
-build time) plus a flat parameter vector ``model.theta`` with a fixed
-segment schema; positive quantities live in theta as logarithms.
-Everything else is derived from those two. A model is in one of two states:
-unfitted, holding theta alone (from ``build_model`` or
+build time) plus a flat parameter vector ``model.theta``, whose segment
+schema is read off the draws and ``n_pseudo``; positive quantities live in
+theta as logarithms. Everything else is derived from those two. A model is
+in one of two states: unfitted, holding theta alone (from ``build_model`` or
 :func:`apply_parameters`, which installs theta and clears the fitted
 fields), or fitted at its theta, holding the fitted warp stack, top basis
 and top posterior, which carries the top noise variance (after
 ``objective``, ``value_and_gradient`` or ``load``). It is never stale:
 ``apply_parameters`` is the one place the fitted fields are cleared and
-``_install`` the one place they are written. Every evaluation assembles
-its structures from the draws and theta (``_assemble``, inside
-``_forward``) and reads nothing the model held before. A fit returns new
-objects and mutates none, so ``train`` evaluates a candidate theta on a
-shallow copy that carries it, ``replace(model, theta=candidate)``, and no
-model is ever reverted. One assembly routine serves both modes: handed the
-theta array it produces a plain numpy model, handed a tape tensor a traced
-one, so the gradient differentiates exactly the arithmetic the plain
-objective runs. Every Gram is factored exactly once per evaluation.
+``_install`` the one place they are written. Every evaluation builds the
+stack, fitted layer by layer, and the top basis from the draws and theta
+(``_assemble``, inside ``_forward``) and reads nothing the model held
+before. A fit returns new objects and mutates none, so ``train`` evaluates a
+candidate theta on a shallow copy that carries it, ``replace(model,
+theta=candidate)``, and no model is ever reverted. One assembly routine
+serves both modes: handed the theta array it produces a plain numpy model,
+handed a tape tensor a traced one, so the gradient differentiates exactly
+the arithmetic the plain objective runs. Every Gram is factored exactly once
+per evaluation. With no warp layer an input stays a point, so a depth-0
+model is the plain sparse-spectrum GP and runs its feature map.
 Prediction is row-separable and walks a batch in fixed chunks of
 PREDICT_CHUNK_ROWS rows, so its temporaries do not grow with the batch. A
 fitted or loaded model's first prediction inverts each of its 2 * depth + 1
@@ -48,6 +50,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +74,6 @@ PREDICT_CHUNK_ROWS = 4096
 class SswimModel:
     family: str
     draws: dict  # frozen (M, D) frequency draws by basis: "top", "layer{j}.g", "layer{j}.h"
-    schema: tuple
     n_pseudo: int
     sigma_gamma: float
     seed: object
@@ -88,6 +90,11 @@ class SswimModel:
     @property
     def depth(self):
         return len(self.draws) // 2  # a top draw and two per layer
+
+    @cached_property
+    def schema(self):
+        """theta's segments, in packed order; a function of the draws and ``n_pseudo``."""
+        return _build_schema(self.input_dim, self.depth, self.n_pseudo)
 
 
 def _build_schema(d, n_layers, n_pseudo):
@@ -110,21 +117,23 @@ def _build_schema(d, n_layers, n_pseudo):
         size = math.prod(shape)
         segments.append(Segment(name, start, start + size, shape, log))
         start += size
-    return tuple(segments), start
+    return tuple(segments)
 
 
 def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
                 family="matern32", sigma_gamma=0.1, lengthscale=1.0,
                 warp_lengthscale=None, amplitude=1.0, noise_var=0.1,
                 warp_noise_var=1e-4, seed=0) -> SswimModel:
-    """Assemble a fresh model around the training inputs' bounding box.
+    """Draw a fresh model around the training inputs' bounding box.
 
     ``M_w`` (warp feature count) and ``warp_lengthscale`` default to the
     top-level M and lengthscale. Pseudo inputs are drawn uniformly over
     the box of ``x_train``; pseudo targets start near the identity warp
     with spread ``sigma_gamma``. Sampling is derived deterministically from
-    ``seed``. The model is unfitted: it holds theta alone, and nothing is
-    assembled or fitted until it is evaluated.
+    ``seed``. theta packs the logarithms of the bases' hyperparameters and
+    of the noise variances given here, and the drawn pseudo data. The model
+    is unfitted: it holds theta alone, and nothing is assembled or fitted
+    until it is evaluated.
     """
     x_train = np.asarray(x_train, dtype=float)
     if x_train.ndim != 2:
@@ -150,13 +159,12 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
         bases = [make_basis(family, m_w, d, children[k + 3 * j], ell_w, amplitude) for k in (1, 2)]
         init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
         layer = draw_warp_layer(data_min, data_max, init, bases, warp_noise_var, warp_noise_var)
-        draws[f"layer{j}.g"], draws[f"layer{j}.h"] = (b.base_draws for b in bases)
-        values |= (log_hypers(f"layer{j}.g", layer.g_basis, layer.g_noise_var)
-                   | log_hypers(f"layer{j}.h", layer.h_basis, layer.h_noise_var)
-                   | {f"layer{j}.{mat}": getattr(layer, mat) for mat in ("Xg", "Yg", "Xh", "Yh")})
-    schema, _ = _build_schema(d, n_layers, n_pseudo)
-    model = SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed)
-    return apply_parameters(model, np.concatenate([np.ravel(values[s.name]) for s in schema]))
+        for fn, basis in zip("gh", bases):
+            draws[f"layer{j}.{fn}"] = basis.base_draws
+            values |= log_hypers(f"layer{j}.{fn}", basis, float(warp_noise_var))
+        values |= {f"layer{j}.{mat}": getattr(layer, mat) for mat in ("Xg", "Yg", "Xh", "Yh")}
+    model = SswimModel(family, draws, n_pseudo, sigma_gamma, seed)
+    return apply_parameters(model, np.concatenate([np.ravel(values[s.name]) for s in model.schema]))
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
@@ -179,11 +187,12 @@ def apply_parameters(model: SswimModel, values) -> SswimModel:
 
 
 def _assemble(model: SswimModel, theta):
-    """Unfitted stack, top basis and top noise variance at theta.
+    """Warp stack fitted at theta, top basis and top noise variance.
 
     Reads only the model's schema and draws. theta may be the plain
     parameter array or a tape tensor; the assembled structures hold values
-    of the same kind.
+    of the same kind. Each warp layer is fitted as it is built, and a failed
+    fit names its layer and regressor ("warp layer j, g regressor: ...").
     """
     segments = {s.name: s for s in model.schema}
 
@@ -196,29 +205,22 @@ def _assemble(model: SswimModel, theta):
         return SpectralBasis(model.draws[key], seg(key + ".lengthscales"),
                              seg(key + ".amplitude"))
 
-    layers = [WarpLayer(basis(f"layer{j}.g"), basis(f"layer{j}.h"),
-                        seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
-                        seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
-                        seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"))
-              for j in range(model.depth)]
-    return WarpStack(layers), basis("top"), seg("top.noise_var")
-
-
-def _fit_warps(stack: WarpStack) -> WarpStack:
-    """A copy of the stack with every warp layer fitted; ``stack`` is left as it is."""
     layers = []
-    for j, layer in enumerate(stack.layers):
+    for j in range(model.depth):
+        layer = WarpLayer(basis(f"layer{j}.g"), basis(f"layer{j}.h"),
+                          seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
+                          seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
+                          seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"))
         try:
             layers.append(refit(layer))
         except (ad.FactorizationError, ad.NonFiniteError) as e:
             raise type(e)(f"warp layer {j}, {e}") from None
-    return WarpStack(layers)
+    return WarpStack(layers), basis("top"), seg("top.noise_var")
 
 
 def _forward(model: SswimModel, theta, x, y):
     """Objective at theta, plain or traced, plus the fitted (stack, top_basis, post)."""
     stack, top_basis, top_noise = _assemble(model, theta)
-    stack = _fit_warps(stack)
     gi = propagate(stack, x)
     try:
         post = ssgp.fit_from_features(top_basis, expected_feature_map(top_basis, gi),
@@ -448,18 +450,17 @@ def _from_document(doc) -> SswimModel:
     # save writes any other seed back as its str, so the round trip would change it
     seed = _scalar(doc, "seed", lambda v: type(v) in (int, str), "an integer or a string")
     draws = _draws(_required(doc, "base_draws"))
-    (m, d), depth = draws["top"].shape, len(draws) // 2
-    schema, size = _build_schema(d, depth, n_pseudo)
+    model = SswimModel(family, draws, n_pseudo, sigma_gamma, seed)
+    size = model.schema[-1].stop
     theta = _array(doc, "theta", None)
     if theta.shape != (size,):
         raise ValueError(f"theta has shape {theta.shape}; base_draws and n_pseudo {n_pseudo} "
                          f"give ({size},)")
-    alpha, factor = _top_posterior(_required(doc, "top_posterior"), 2 * m)
-    model = apply_parameters(SswimModel(family, draws, schema, n_pseudo, sigma_gamma, seed), theta)
+    alpha, factor = _top_posterior(_required(doc, "top_posterior"), 2 * draws["top"].shape[0])
+    apply_parameters(model, theta)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
             stack, top, top_noise = _assemble(model, model.theta)
-            stack = _fit_warps(stack)
             # only the warp layers are refit, so a top-level overflow shows nowhere else
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
                                 ("noise variance", top_noise)):

@@ -80,7 +80,7 @@ def fit_from_features(basis, phi, y, noise_var) -> SsgpPosterior:
     y_shape = np.shape(y)
     if len(y_shape) not in (1, 2) or y_shape[0] != n:
         raise ValueError(f"targets have shape {y_shape}, expected ({n},) or ({n}, P)")
-    if basis is not None and n_feat != basis.n_features:
+    if n_feat != basis.n_features:
         raise ValueError(f"feature matrix has {n_feat} columns, basis provides {basis.n_features}")
     gram = ad.gram(phi) + noise_var * np.eye(n_feat)
     # inf noise or amplitude slips past the phi check but poisons the factor

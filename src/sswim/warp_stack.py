@@ -1,15 +1,13 @@
 """Composition of warp layers, propagating Gaussian measures input-to-output.
 
-An empty stack is the identity: a point stays a point mass. Otherwise the
-first layer warps the point exactly and every later layer moment-matches the
-Gaussian it receives, so uncertainty accumulates front to back.
+An empty stack is the identity: a point stays a point (variance None).
+Otherwise the first layer warps the point exactly and every later layer
+moment-matches the Gaussian it receives, so uncertainty accumulates front to back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .features import GaussianInput
 from .warping import warp_gaussian, warp_point
@@ -28,9 +26,9 @@ class WarpStack:
 
 
 def propagate(stack: WarpStack, x) -> GaussianInput:
-    """Push a point (or batch of points) through every layer in order."""
+    """Push a point (or batch of points) through every layer in order; no layer keeps it a point."""
     if not stack.layers:
-        return GaussianInput(x, np.zeros(np.shape(x)))
+        return GaussianInput(x, None)
     gi = warp_point(stack.layers[0], x)
     for layer in stack.layers[1:]:
         gi = warp_gaussian(layer, gi)

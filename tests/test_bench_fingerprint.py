@@ -17,7 +17,8 @@ SMALL = {
     "concrete_wide": dict(n=120, M=16, n_pseudo=24, n_predict=50),
     "gramacy_tall": dict(n=300, M=8, n_pseudo=8, n_predict=200),
 }
-OUTPUTS = {"built objective", "built gradient", "train trace", "trained theta",
+OUTPUTS = {"built objective", "built gradient", "depth-0 objective", "depth-0 gradient",
+           "train trace", "trained theta",
            "predict_f mean", "predict_f variance",
            "repeat predict_f mean", "repeat predict_f variance", "saved document",
            "point predict_f mean", "point predict_f variance",

@@ -77,6 +77,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "noise_var must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, wrong", [
+    (["train", *FAST, "--output-dir", "{file}"], "file"),
+    (["train", "--manifest", "{dir}"], "dir"),
+    (["train", "--config", "{dir}"], "dir"),
+    (["export-warp", "--model", "{dir}", "--grid", "0:1:3"], "dir"),
+    (["gen-synthetic", "--kind", "steps_chirp_1d", "--output", "{dir}"], "dir"),
+])
+def test_a_path_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, argv, wrong):
+    paths = {"file": tmp_path / "afile", "dir": tmp_path / "adir"}
+    paths["file"].write_text("")
+    paths["dir"].mkdir()
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(paths[wrong]) in err
+
+
 def test_removed_gradient_mode_is_rejected(tmp_path, capsys):
     config = tmp_path / "old.conf"
     for key, value in (("gradient_mode", "finite-difference"), ("keep_best", "false")):

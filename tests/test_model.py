@@ -20,8 +20,9 @@ import sswim.autodiff as ad
 import sswim.model as model_module
 from sswim import ssgp
 from sswim.features import SpectralBasis, expected_feature_map, feature_map
-from sswim.model import (PREDICT_CHUNK_ROWS, apply_parameters, build_model, fd_gradient, load,
-                         objective, predict_f, save, value_and_gradient)
+from sswim.model import (PREDICT_CHUNK_ROWS, SswimModel, _build_schema, apply_parameters,
+                         build_model, fd_gradient, load, objective, predict_f, save,
+                         value_and_gradient)
 from sswim.train import TrainConfig, train
 from sswim.warp_stack import propagate
 
@@ -177,6 +178,28 @@ def test_only_evaluations_and_load_assemble(tmp_path, monkeypatch):
     assert count(load, path)[0] == 1
 
 
+def test_assemble_returns_every_warp_layer_fitted():
+    x, _ = toy_data(5, n=12, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=6)
+    stack, _, _ = model_module._assemble(model, model.theta)
+    assert len(stack.layers) == 2
+    for layer in stack.layers:
+        assert layer.g_post is not None and layer.h_post is not None
+
+
+def test_schema_is_read_off_the_draws_not_stored(tmp_path):
+    assert [f.name for f in fields(SswimModel)] == [
+        "family", "draws", "n_pseudo", "sigma_gamma", "seed",
+        "theta", "stack", "top_basis", "top_post"]
+    x, y = toy_data(1, n=10, d=2)
+    model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=5, seed=0)
+    want = _build_schema(2, 2, 5)
+    assert model.schema == want
+    objective(model, x, y)
+    assert load(save(model, tmp_path / "model.json")).schema == want
+    assert replace(model, theta=model.theta + 0.01).schema == want
+
+
 def test_schema_covers_expected_segments():
     x, _ = toy_data(1, n=10, d=2)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=5, seed=0)
@@ -232,6 +255,22 @@ def test_objective_depth0_equals_plain_ssgp():
     plain = ssgp.posterior_nlml(ssgp.fit_from_features(
         model.top_basis, feature_map(model.top_basis, x), y, model.top_post.noise_var), y)
     assert value == plain
+
+
+def test_depth0_gradient_runs_the_point_feature_map(monkeypatch):
+    # with no warp layer the inputs stay points, so the top features take
+    # the undamped path of feature_map
+    x, y = toy_data(5, n=25)
+    model = build_model(x, n_layers=0, M=8, seed=1)
+    variances, trig_features = [], ad.trig_features
+
+    def spy(x, om, scale, var=None):
+        variances.append(var)
+        return trig_features(x, om, scale, var)
+
+    monkeypatch.setattr(ad, "trig_features", spy)
+    value_and_gradient(model, x, y)
+    assert variances == [None]
 
 
 def test_objective_is_deterministic():
