@@ -6,12 +6,12 @@ maps the output's cotangent to one cotangent per input at once (Griewank &
 Walther, *Evaluating Derivatives*, ch. 3). Plain inputs (data, identity
 matrices) are not parents, and their cotangents are dropped. Calling
 :meth:`Tensor.backward` on a scalar output fills ``.grad`` on every leaf
-tensor (one with no parents, such as a parameter vector) that contributed to
-it; no other node keeps a gradient. The pass is one-shot and keeps an array
-only while something still reads it: each cotangent is freed once its
-node's VJP has run, the VJP goes with the arrays it captured, and an
-interior node (neither the root nor a leaf) drops its value too, since every
-later reader of it is a VJP that has already run. Every node keeps its
+tensor (one with no parents, such as a named segment of a parameter vector)
+that contributed to it; no other node keeps a gradient. The pass is one-shot
+and keeps an array only while something still reads it: each cotangent is
+freed once its node's VJP has run, the VJP goes with the arrays it captured,
+and an interior node (neither the root nor a leaf) drops its value too, since
+every later reader of it is a VJP that has already run. Every node keeps its
 parents. A second pass over the same tape, or a new operation over a node
 whose value was dropped, raises :class:`TapeConsumedError`.
 
@@ -370,17 +370,6 @@ def reshape(a, shape):
 def expand_last(a):
     """Append a trailing unit axis (for column-style broadcasting)."""
     return reshape(a, np.shape(a) + (1,))
-
-
-def take(a, idx):
-    av = _as_value(a)
-
-    def vjp(g):
-        buf = np.zeros(av.shape)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _node(av[idx], (a,), vjp)
 
 
 # -- Cholesky-backed linear algebra -----------------------------------------

@@ -7,27 +7,28 @@ Bayesian linear regression. The training objective is the negative log
 evidence of the targets under that construction, jointly over every
 hyperparameter and every pseudo-training pair.
 
-A model is its frozen frequency draws (``model.draws``, drawn once at
-build time) plus a flat parameter vector ``model.theta``, whose segment
-schema is read off the draws and ``n_pseudo``; positive quantities live in
-theta as logarithms. Everything else is derived from those two. A model is
-in one of two states: unfitted, holding theta alone (from ``build_model`` or
-:func:`apply_parameters`, which installs theta and clears the fitted
-fields), or fitted at its theta, holding the fitted warp stack, top basis
-and top posterior, which carries the top noise variance (after
-``objective``, ``value_and_gradient`` or ``load``). It is never stale:
-``apply_parameters`` is the one place the fitted fields are cleared and
-``_install`` the one place they are written. Every evaluation builds the
-stack, fitted layer by layer, and the top basis from the draws and theta
-(``_assemble``, inside ``_forward``) and reads nothing the model held
-before. A fit returns new objects and mutates none, so ``train`` evaluates a
-candidate theta on a shallow copy that carries it, ``replace(model,
-theta=candidate)``, and no model is ever reverted. One assembly routine
-serves both modes: handed the theta array it produces a plain numpy model,
-handed a tape tensor a traced one, so the gradient differentiates exactly
-the arithmetic the plain objective runs. Every Gram is factored exactly once
-per evaluation. With no warp layer an input stays a point, so a depth-0
-model is the plain sparse-spectrum GP and runs its feature map.
+A model is its frozen frequency draws (``model.draws``, drawn once at build
+time) plus a parameter vector ``model.theta``: flat where it is stored,
+updated and saved, and read by an evaluation as named segments, which
+``_split`` cuts out by a schema read off the draws and ``n_pseudo``.
+Positive quantities live in theta as logarithms, and everything else is
+derived from those two. A model is in one of two states: unfitted, holding
+theta alone (from ``build_model`` or :func:`apply_parameters`, which
+installs theta and clears the fitted fields), or fitted at its theta,
+holding the fitted warp stack, top basis and top posterior, which carries
+the top noise variance (after ``objective``, ``value_and_gradient`` or
+``load``). It is never stale: ``apply_parameters`` is the one place the
+fitted fields are cleared and ``_install`` the one place they are written.
+Every evaluation builds the stack, fitted layer by layer, and the top basis
+from the draws and theta (``_assemble``, inside ``_forward``) and reads
+nothing the model held before. A fit returns new objects and mutates none,
+so ``train`` evaluates a candidate theta on a shallow copy that carries it,
+``replace(model, theta=candidate)``, and no model is ever reverted. Handed
+theta's segments as arrays or as tape leaves, one assembly routine builds a
+plain or a traced model, so the gradient differentiates exactly the
+arithmetic the plain objective runs. Every Gram is factored exactly once per
+evaluation. With no warp layer an input stays a point, so a depth-0 model is
+the plain sparse-spectrum GP and runs its feature map.
 Prediction is row-separable and walks a batch in fixed chunks of
 PREDICT_CHUNK_ROWS rows, so its temporaries do not grow with the batch. A
 fitted or loaded model's first prediction inverts each of its 2 * depth + 1
@@ -122,22 +123,24 @@ def _build_schema(d, n_layers, n_pseudo):
 
 def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
                 family="matern32", sigma_gamma=0.1, lengthscale=1.0,
-                warp_lengthscale=None, amplitude=1.0, noise_var=0.1,
-                warp_noise_var=1e-4, seed=0) -> SswimModel:
+                warp_lengthscale=None, noise_var=0.1, warp_noise_var=1e-4,
+                seed=0) -> SswimModel:
     """Draw a fresh model around the training inputs' bounding box.
 
     ``M_w`` (warp feature count) and ``warp_lengthscale`` default to the
     top-level M and lengthscale. Pseudo inputs are drawn uniformly over
     the box of ``x_train``; pseudo targets start near the identity warp
     with spread ``sigma_gamma``. Sampling is derived deterministically from
-    ``seed``. theta packs the logarithms of the bases' hyperparameters and
-    of the noise variances given here, and the drawn pseudo data. The model
-    is unfitted: it holds theta alone, and nothing is assembled or fitted
-    until it is evaluated.
+    ``seed``. theta packs the logarithms of the bases' hyperparameters (each
+    amplitude starts at 1) and of the noise variances given here, and the
+    drawn pseudo data. The model is unfitted: it holds theta alone, and
+    nothing is assembled or fitted until it is evaluated.
     """
     x_train = np.asarray(x_train, dtype=float)
     if x_train.ndim != 2:
         raise ValueError("x_train must be a 2-D array")
+    if not (len(x_train) and np.all(np.isfinite(x_train))):
+        raise ValueError(f"x_train of shape {x_train.shape} is empty or not finite")
     if not 0 <= n_layers <= MAX_DEPTH:
         raise ValueError(f"n_layers must be in 0..{MAX_DEPTH}")
     if not (0 < noise_var < np.inf and 0 < warp_noise_var < np.inf):
@@ -153,10 +156,10 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
         return {f"{key}.lengthscales": np.log(basis.lengthscales),
                 f"{key}.amplitude": np.log(basis.amplitude), f"{key}.noise_var": np.log(noise)}
 
-    top_basis = make_basis(family, M, d, children[0], lengthscale, amplitude)
+    top_basis = make_basis(family, M, d, children[0], lengthscale)
     draws, values = {"top": top_basis.base_draws}, log_hypers("top", top_basis, float(noise_var))
     for j in range(n_layers):
-        bases = [make_basis(family, m_w, d, children[k + 3 * j], ell_w, amplitude) for k in (1, 2)]
+        bases = [make_basis(family, m_w, d, children[k + 3 * j], ell_w) for k in (1, 2)]
         init = WarpInit(n_pseudo, sigma_gamma, children[3 + 3 * j])
         layer = draw_warp_layer(data_min, data_max, init, bases, warp_noise_var, warp_noise_var)
         for fn, basis in zip("gh", bases):
@@ -164,7 +167,7 @@ def build_model(x_train, *, n_layers=1, M=100, M_w=None, n_pseudo=64,
             values |= log_hypers(f"layer{j}.{fn}", basis, float(warp_noise_var))
         values |= {f"layer{j}.{mat}": getattr(layer, mat) for mat in ("Xg", "Yg", "Xh", "Yh")}
     model = SswimModel(family, draws, n_pseudo, sigma_gamma, seed)
-    return apply_parameters(model, np.concatenate([np.ravel(values[s.name]) for s in model.schema]))
+    return apply_parameters(model, _join(model, values))
 
 
 def apply_parameters(model: SswimModel, values) -> SswimModel:
@@ -186,41 +189,45 @@ def apply_parameters(model: SswimModel, values) -> SswimModel:
     return model
 
 
-def _assemble(model: SswimModel, theta):
+def _split(model: SswimModel, theta, leaf=np.asarray):
+    """theta's named segments in their schema shapes, each passed through ``leaf``."""
+    return {s.name: leaf(theta[s.start:s.stop].reshape(s.shape)) for s in model.schema}
+
+
+def _join(model: SswimModel, parts):
+    """The flat vector of named segments in packed order: the inverse of :func:`_split`."""
+    return np.concatenate([np.ravel(parts[s.name]) for s in model.schema])
+
+
+def _assemble(model: SswimModel, parts):
     """Warp stack fitted at theta, top basis and top noise variance.
 
-    Reads only the model's schema and draws. theta may be the plain
-    parameter array or a tape tensor; the assembled structures hold values
-    of the same kind. Each warp layer is fitted as it is built, and a failed
-    fit names its layer and regressor ("warp layer j, g regressor: ...").
+    ``parts`` are theta's segments by name (:func:`_split`), plain arrays or
+    tape leaves, and the structures hold values of the same kind; the log
+    segments are exponentiated here. Each warp layer is fitted as it is built, and
+    a failed fit names its layer and regressor ("warp layer j, g regressor: ...").
     """
-    segments = {s.name: s for s in model.schema}
-
-    def seg(name):
-        s = segments[name]
-        part = ad.reshape(ad.take(theta, slice(s.start, s.stop)), s.shape)
-        return ad.exp(part) if s.log else part
+    seg = {s.name: ad.exp(parts[s.name]) if s.log else parts[s.name] for s in model.schema}
 
     def basis(key):
-        return SpectralBasis(model.draws[key], seg(key + ".lengthscales"),
-                             seg(key + ".amplitude"))
+        return SpectralBasis(model.draws[key], seg[key + ".lengthscales"],
+                             seg[key + ".amplitude"])
 
     layers = []
     for j in range(model.depth):
         layer = WarpLayer(basis(f"layer{j}.g"), basis(f"layer{j}.h"),
-                          seg(f"layer{j}.Xg"), seg(f"layer{j}.Yg"),
-                          seg(f"layer{j}.Xh"), seg(f"layer{j}.Yh"),
-                          seg(f"layer{j}.g.noise_var"), seg(f"layer{j}.h.noise_var"))
+                          *(seg[f"layer{j}.{mat}"] for mat in ("Xg", "Yg", "Xh", "Yh")),
+                          seg[f"layer{j}.g.noise_var"], seg[f"layer{j}.h.noise_var"])
         try:
             layers.append(refit(layer))
         except (ad.FactorizationError, ad.NonFiniteError) as e:
             raise type(e)(f"warp layer {j}, {e}") from None
-    return WarpStack(layers), basis("top"), seg("top.noise_var")
+    return WarpStack(layers), basis("top"), seg["top.noise_var"]
 
 
-def _forward(model: SswimModel, theta, x, y):
-    """Objective at theta, plain or traced, plus the fitted (stack, top_basis, post)."""
-    stack, top_basis, top_noise = _assemble(model, theta)
+def _forward(model: SswimModel, parts, x, y):
+    """Objective at theta's segments, plain or traced, and the fitted (stack, top_basis, post)."""
+    stack, top_basis, top_noise = _assemble(model, parts)
     gi = propagate(stack, x)
     try:
         post = ssgp.fit_from_features(top_basis, expected_feature_map(top_basis, gi),
@@ -257,7 +264,7 @@ def objective(model: SswimModel, x, y) -> float:
     theta and ready for prediction.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value, fitted = _forward(model, model.theta, x, y)
+    value, fitted = _forward(model, _split(model, model.theta), x, y)
     _install(model, fitted)
     return float(value)
 
@@ -265,18 +272,17 @@ def objective(model: SswimModel, x, y) -> float:
 def value_and_gradient(model: SswimModel, x, y):
     """Objective and its gradient in packed parameter order (one tape pass).
 
-    Refreshes the model's fitted caches like :func:`objective` does. They are
-    installed before the backward pass, which drops the values of the tape's
-    interior nodes.
+    Each theta segment is its own tape leaf, and the gradient is theirs packed
+    by :func:`_join`. Refreshes the model's fitted caches like :func:`objective`
+    does, before the backward pass drops the tape's interior values.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    theta_t = ad.Tensor(model.theta)
-    value, fitted = _forward(model, theta_t, x, y)
+    leaves = _split(model, model.theta, ad.Tensor)
+    value, fitted = _forward(model, leaves, x, y)
     ad.check_finite(value, "objective")
     _install(model, fitted)
     value.backward()
-    grad = theta_t.grad if theta_t.grad is not None else np.zeros_like(model.theta)
-    return float(value.value), grad.reshape(-1).copy()
+    return float(value.value), _join(model, {name: t.grad for name, t in leaves.items()})
 
 
 def fd_gradient(model: SswimModel, x, y, rel_step=1e-5):
@@ -310,10 +316,13 @@ def _predict_chunks(model: SswimModel, xstar):
     """Yield ``(propagated inputs, mean, noise-inclusive variance)`` per row chunk.
 
     Rows are taken in order, PREDICT_CHUNK_ROWS at a time; an empty batch is
-    one empty chunk and a single point one pass.
+    one empty chunk and a single point one pass. Inputs of more than two
+    dimensions raise ``ValueError``.
     """
     top_post = _fitted_posterior(model)
     xstar = np.asarray(xstar, dtype=float)
+    if xstar.ndim > 2:
+        raise ValueError(f"inputs of shape {xstar.shape} are not a point (D,) or rows (N, D)")
     chunks = [xstar] if xstar.ndim < 2 else (
         xstar[i:i + PREDICT_CHUNK_ROWS] for i in range(0, max(len(xstar), 1), PREDICT_CHUNK_ROWS))
     for chunk in chunks:
@@ -460,7 +469,7 @@ def _from_document(doc) -> SswimModel:
     apply_parameters(model, theta)
     try:
         with np.errstate(over="ignore"):  # the checks below reject an overflow
-            stack, top, top_noise = _assemble(model, model.theta)
+            stack, top, top_noise = _assemble(model, _split(model, model.theta))
             # only the warp layers are refit, so a top-level overflow shows nowhere else
             for what, value in (("frequencies", frequencies(top)), ("amplitude", top.amplitude),
                                 ("noise variance", top_noise)):

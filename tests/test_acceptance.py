@@ -175,19 +175,15 @@ def test_06_depth_zero_reduces_to_stationary_baseline():
     segments = {s.name: (s.start, s.stop, s.shape) for s in model.schema}
 
     def plain_value_and_grad(theta):
-        theta_t = ad.Tensor(theta)
-
-        def seg(name):
-            start, stop, shape = segments[name]
-            return ad.exp(ad.reshape(ad.take(theta_t, slice(start, stop)), shape))
-
-        basis = SpectralBasis(model.draws["top"], seg("top.lengthscales"),
-                              seg("top.amplitude"))
-        post = ssgp.fit_from_features(basis, feature_map(basis, x), y,
-                                      seg("top.noise_var"))
+        # one tape leaf per segment; the gradient is theirs in packed order
+        leaves = {name: ad.Tensor(theta[start:stop].reshape(shape))
+                  for name, (start, stop, shape) in segments.items()}
+        seg = {name: ad.exp(leaf) for name, leaf in leaves.items()}
+        basis = SpectralBasis(model.draws["top"], seg["top.lengthscales"], seg["top.amplitude"])
+        post = ssgp.fit_from_features(basis, feature_map(basis, x), y, seg["top.noise_var"])
         value = ssgp.posterior_nlml(post, y)
         value.backward()
-        return float(value.value), theta_t.grad.reshape(-1)
+        return float(value.value), np.concatenate([leaf.grad.ravel() for leaf in leaves.values()])
 
     # shared starting point
     theta = model.theta.copy()

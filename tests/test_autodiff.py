@@ -221,7 +221,6 @@ def dispatch_cases():
         "gram": (ad.gram, (x,)),
         "reshape": (lambda a: ad.reshape(a, (2, 6)), (x,)),
         "expand_last": (ad.expand_last, (x,)),
-        "take": (lambda a: ad.take(a, np.array([2, 0, 2])), (x,)),
         "psd_solve": (lambda a, b: ad.psd_solve(a, L, b), (A, y.T)),
         "psd_quad_diag": (lambda a, f: ad.psd_quad_diag(a, ad.tri_inverse(L), f), (A, x)),
         "gaussian_evidence": (
@@ -311,22 +310,6 @@ def test_gram_value_and_gradient():
     phi, proj = rng.standard_normal((6, 3)), rng.standard_normal((3, 3))
     assert ad.gram(phi).tobytes() == (phi.T @ phi).tobytes()
     check_scalarized(lambda t: scalarize(ad.gram(t), proj), phi)
-
-
-def test_take_accumulates_repeated_indices():
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    idx = np.array([0, 2, 2, 3])
-    t = ad.Tensor(x)
-    out = scalarize(ad.take(t, idx))
-    out.backward()
-    np.testing.assert_array_equal(t.grad, [1.0, 0.0, 2.0, 1.0])
-
-
-def test_take_slices():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal(8)
-    proj = rng.standard_normal(3)
-    check_scalarized(lambda t: scalarize(ad.take(t, slice(2, 5)), proj), x)
 
 
 def test_reuse_of_a_node_accumulates_gradient():

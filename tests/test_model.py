@@ -181,7 +181,7 @@ def test_only_evaluations_and_load_assemble(tmp_path, monkeypatch):
 def test_assemble_returns_every_warp_layer_fitted():
     x, _ = toy_data(5, n=12, d=2)
     model = build_model(x, n_layers=2, M=4, M_w=3, n_pseudo=4, seed=6)
-    stack, _, _ = model_module._assemble(model, model.theta)
+    stack, _, _ = model_module._assemble(model, model_module._split(model, model.theta))
     assert len(stack.layers) == 2
     for layer in stack.layers:
         assert layer.g_post is not None and layer.h_post is not None
@@ -234,6 +234,18 @@ def test_build_model_validation():
     for bad in ({"noise_var": 0.0}, {"noise_var": np.nan}, {"warp_noise_var": np.inf}):
         with pytest.raises(ValueError, match="noise"):
             build_model(x, **bad)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+def test_build_model_names_a_bad_x_train(bad, depth):
+    x, _ = toy_data(3, n=10, d=2)
+    if bad == "empty":
+        x = x[:0]
+    else:
+        x[4, 1] = np.nan if bad == "nan" else -np.inf
+    with pytest.raises(ValueError, match=rf"x_train of shape \({len(x)}, 2\)"):
+        build_model(x, n_layers=depth, M=4, M_w=3, n_pseudo=4)
 
 
 def test_build_model_accepts_seed_sequence():
@@ -442,18 +454,15 @@ def test_gradient_vanishes_for_distant_pseudo_input():
 
 def plain_ssgp_value_and_grad(model, x, y):
     """Trace only the stationary regressor through the tape, no warp code."""
-    segments = {s.name: s for s in model.schema}
-    theta_t = ad.Tensor(model.theta)
-
-    def seg(name):
-        s = segments[name]
-        return ad.exp(ad.reshape(ad.take(theta_t, slice(s.start, s.stop)), s.shape))
-
-    basis = SpectralBasis(model.draws["top"], seg("top.lengthscales"), seg("top.amplitude"))
-    post = ssgp.fit_from_features(basis, feature_map(basis, x), y, seg("top.noise_var"))
+    # one tape leaf per segment; the gradient is theirs in packed order
+    leaves = {s.name: ad.Tensor(model.theta[s.start:s.stop].reshape(s.shape))
+              for s in model.schema}
+    seg = {name: ad.exp(leaf) for name, leaf in leaves.items()}
+    basis = SpectralBasis(model.draws["top"], seg["top.lengthscales"], seg["top.amplitude"])
+    post = ssgp.fit_from_features(basis, feature_map(basis, x), y, seg["top.noise_var"])
     value = ssgp.posterior_nlml(post, y)
     value.backward()
-    return float(value.value), theta_t.grad.reshape(-1)
+    return float(value.value), np.concatenate([leaf.grad.ravel() for leaf in leaves.values()])
 
 
 def test_depth0_model_is_plain_ssgp_end_to_end():
@@ -543,12 +552,14 @@ def test_one_triangular_inverse_per_posterior(tmp_path, monkeypatch):
         "alpha", "A_factor", "noise_var", "gram", "proj_y"]
 
 
-@pytest.mark.parametrize("depth, limit", [(0, 19), (1, 81), (2, 149)])
+@pytest.mark.parametrize("depth, limit", [(0, 15), (1, 67), (2, 125)])
 def test_tape_nodes_per_gradient_at_the_chirp_shape(depth, limit, monkeypatch):
     # test_07's shape: each fit's Gram is one node and the top evidence
     # another, where separate transpose, matmul and scalar nodes need 51 and
     # 127; plain inputs (data, identity matrices) are not nodes, where lifting
-    # them onto the tape as constants made 25, 99 and 177
+    # them onto the tape as constants made 25, 99 and 177; each theta segment
+    # is its own leaf, where cutting one flat theta leaf apart (a take and a
+    # reshape node per segment) made 19, 81 and 149
     x, y = toy_data(25, n=320, d=1)
     model = build_model(x, n_layers=depth, M=100, n_pseudo=64, seed=7)
     sizes = []
@@ -561,6 +572,36 @@ def test_tape_nodes_per_gradient_at_the_chirp_shape(depth, limit, monkeypatch):
     monkeypatch.setattr(ad.Tensor, "backward", counting)
     value_and_gradient(model, x, y)
     assert len(sizes) == 1 and sizes[0] <= limit
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_gradient_tape_has_one_leaf_per_theta_segment(depth, monkeypatch):
+    # the tape starts at theta's named segments, not at one flat theta that
+    # it cuts apart again, and the gradient is their gradients packed
+    x, y = toy_data(26, n=12, d=2)
+    model = build_model(x, n_layers=depth, M=4, M_w=3, n_pseudo=4, seed=8)
+    splits, tape_leaves = [], []
+    split, backward = model_module._split, ad.Tensor.backward
+
+    def recording_split(*args):
+        splits.append(split(*args))
+        return splits[-1]
+
+    def recording_backward(root):
+        tape_leaves.extend(node for node in ad._topo_order(root) if not node.parents)
+        return backward(root)
+
+    monkeypatch.setattr(model_module, "_split", recording_split)
+    monkeypatch.setattr(ad.Tensor, "backward", recording_backward)
+    _, grad = value_and_gradient(model, x, y)
+    (leaves,) = splits
+    assert list(leaves) == [s.name for s in model.schema]
+    assert len(tape_leaves) == len(model.schema)
+    assert {id(t) for t in tape_leaves} == {id(t) for t in leaves.values()}
+    for s in model.schema:
+        assert leaves[s.name].grad.shape == s.shape
+    grads = {name: leaf.grad for name, leaf in leaves.items()}
+    np.testing.assert_array_equal(model_module._join(model, grads), grad)
 
 
 @pytest.mark.parametrize("depth, limit", [(1, 9.5), (2, 14.5)])
@@ -670,6 +711,20 @@ def test_predict_variance_includes_noise_floor():
     objective(model, x, y)
     _, var = predict_f(model, np.linspace(-2, 2, 50)[:, None])
     assert np.all(var >= model.top_post.noise_var)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_predict_rejects_inputs_of_more_than_two_dimensions(depth):
+    x, y = toy_data(32, n=12, d=2)
+    model = build_model(x, n_layers=depth, M=4, M_w=3, n_pseudo=4, seed=20)
+    objective(model, x, y)
+    xs = np.random.default_rng(4).uniform(-1, 1, (2, 3, 2))
+    with pytest.raises(ValueError, match=r"shape \(2, 3, 2\)"):
+        predict_f(model, xs)
+    mean, var = predict_f(model, xs.reshape(6, 2))
+    assert mean.shape == var.shape == (6,)
+    mean, var = predict_f(model, xs[0, 0])
+    assert mean.shape == var.shape == ()
 
 
 @pytest.mark.parametrize("outputs", [1, 2])
